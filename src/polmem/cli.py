@@ -15,6 +15,7 @@ outputs, and all files are written atomically (temp + rename).  Exit codes:
 """
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
@@ -54,18 +55,22 @@ from .histogram_analysis import (
 SIM_KINDS = ("histogram", "reference", "polarimetry", "decay", "background")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _atomic_write(path: str, content) -> None:
+    """Write text, or run `saver(tmp_path)`, into a temp file renamed into place.
 
-
-def _atomic_save(path: str, saver) -> None:
-    """Run `saver(tmp_path)` then rename the result into place."""
+    The temp file is removed if the write or the rename fails."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    saver(tmp)
-    os.replace(tmp, path)
+    try:
+        if callable(content):
+            content(tmp)
+        else:
+            with open(tmp, "w", newline="") as fh:
+                fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _json_text(obj) -> str:
@@ -112,10 +117,10 @@ def cmd_simulate(args) -> int:
             config, state, analyzer, args.trials, args.seed,
             workers=args.workers, label=f"storage:{args.state}",
         )
-        _atomic_save(args.out, hist.save)
+        _atomic_write(args.out, hist.save)
     elif args.kind == "reference":
         hist = simulate_reference(config, args.trials, args.seed, workers=args.workers)
-        _atomic_save(args.out, hist.save)
+        _atomic_write(args.out, hist.save)
     elif args.kind == "polarimetry":
         if args.angles:
             angles = [math.radians(a) for a in _float_list(args.angles, "--angles")]
@@ -126,23 +131,23 @@ def cmd_simulate(args) -> int:
             noiseless=args.noiseless,
         )
         samples = [PolarimetrySample(a, y) for a, y in zip(sweep.x, sweep.y)]
-        _atomic_save(args.out, lambda p: write_polarimetry_csv(p, samples))
+        _atomic_write(args.out, lambda p: write_polarimetry_csv(p, samples))
     elif args.kind == "decay":
         if not args.times:
             raise ConfigError("--kind decay requires --times")
         series = simulate_decay_series(
             config, _float_list(args.times, "--times"), args.trials, args.seed
         )
-        _atomic_save(args.out, series.save_csv)
+        _atomic_write(args.out, series.save_csv)
     elif args.kind == "background":
         if not args.powers:
             raise ConfigError("--kind background requires --powers")
         bg, tech = simulate_background_sweep(
             config, _float_list(args.powers, "--powers"), args.trials, args.seed
         )
-        _atomic_save(args.out, bg.save_csv)
+        _atomic_write(args.out, bg.save_csv)
         tech_path = _technical_path(args.out)
-        _atomic_save(tech_path, tech.save_csv)
+        _atomic_write(tech_path, tech.save_csv)
         outputs.append(tech_path)
     _write_manifest(args, outputs)
     return 0
@@ -200,20 +205,12 @@ def cmd_model_curve(args) -> int:
     return 0
 
 
-def _fit_result_text(result, fmt: str) -> str:
-    if fmt == "csv":
-        lines = ["param,value,stderr"]
-        for name, value in result.params.items():
-            lines.append(f"{name},{value!r},{result.stderr[name]!r}")
-        return "\n".join(lines) + "\n"
-    return _json_text(result.to_dict())
-
-
 def cmd_fit(args) -> int:
     if args.kind in ("decay", "background") and not args.series:
         raise ConfigError(f"--kind {args.kind} requires --series")
     if args.kind == "stokes" and not args.samples:
         raise ConfigError("--kind stokes requires --samples")
+    extra = {}
     if args.kind == "decay":
         result = fit_exponential_decay(SweepSeries.load_csv(args.series))
     elif args.kind == "background":
@@ -224,14 +221,13 @@ def cmd_fit(args) -> int:
         )
     else:  # stokes always emits JSON (structured Stokes payload)
         vec, result = fit_stokes(read_polarimetry_csv(args.samples))
-        payload = result.to_dict()
-        payload["stokes"] = vec.to_json()
-        payload["stokes_normalized"] = vec.normalize().to_json()
-        text = _json_text(payload)
-        _atomic_write(args.out, text)
-        print(text, end="")
-        return 0
-    text = _fit_result_text(result, args.format)
+        extra = {"stokes": vec.to_json(), "stokes_normalized": vec.normalize().to_json()}
+    if args.format == "csv" and args.kind != "stokes":
+        lines = ["param,value,stderr"]
+        lines += [f"{k},{v!r},{result.stderr[k]!r}" for k, v in result.params.items()]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = _json_text({**result.to_dict(), **extra})
     _atomic_write(args.out, text)
     print(text, end="")
     return 0

@@ -10,7 +10,6 @@ on noisy data; values are reported as-is (with a warning) to keep the
 estimators unbiased.
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -97,53 +96,73 @@ def sbr(storage: ArrivalHistogram, roi: Window, bg: Window) -> float:
     return (roi_counts(storage, roi) - n_bg) / n_bg
 
 
-def _sigma_or_unit(y_err: np.ndarray) -> np.ndarray:
-    """Per-point sigma: measured errors where available, else unit."""
-    return np.where(np.asarray(y_err) > 0, y_err, 1.0)
+def _fit_exp_model(g: np.ndarray, y: np.ndarray, sigma: np.ndarray):
+    """Weighted least-squares fit of y = a exp(b g); returns (a, b, cov, residual_norm).
+
+    Starts from the weighted straight-line fit of ln y over the points with
+    y > 0, then iterates Gauss-Newton with the analytic Jacobian, halving any
+    step that raises the cost, until a step moves the fit by less than 1e-9
+    standard deviations.  Sigmas are absolute (non-positive ones count as
+    unit): cov is inv(J^T J) of the sigma-weighted Jacobian at the solution.
+    """
+    if not all(np.all(np.isfinite(v)) for v in (g, y, sigma)):
+        raise DataError("fit inputs must be finite")
+    sigma = np.where(sigma > 0, sigma, 1.0)
+    pos = y > 0
+    # ln y = ln a + b g, weighted by the propagated log-error y/sigma
+    w = y[pos] / sigma[pos]
+    (log_a, b), _, rank, _ = np.linalg.lstsq(
+        np.column_stack([w, w * g[pos]]), w * np.log(y[pos]), rcond=None
+    )
+    if rank < 2:
+        raise FitError("need positive values at 2 or more distinct abscissas")
+
+    def residuals(theta):
+        return (theta[0] * np.exp(theta[1] * g) - y) / sigma
+
+    theta = np.array([np.exp(log_a), b])
+    r = residuals(theta)
+    if not np.all(np.isfinite(r)):
+        raise FitError(f"the log-linear start (ln a={log_a}, b={b}) overflows the model")
+    for _ in range(100):
+        e = np.exp(theta[1] * g) / sigma
+        jac = np.column_stack([e, theta[0] * g * e])
+        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        if np.linalg.norm(jac @ step) < 1e-9:
+            break
+        # Near the solution the cost change drops below its rounding error,
+        # so a step is accepted unless it raises the cost beyond that.
+        while not (r_step := residuals(theta + step)) @ r_step <= (r @ r) * (1 + 1e-12):
+            step /= 2
+        theta, r = theta + step, r_step
+    else:
+        raise FitError("weighted fit did not converge in 100 Gauss-Newton steps")
+    a, b = float(theta[0]), float(theta[1])
+    if not a > 0:
+        raise FitError(f"fit left the model region (a={a}, b={b})")
+    return a, b, np.linalg.inv(jac.T @ jac), float(np.linalg.norm(r))
 
 
 def fit_exponential_decay(series: SweepSeries) -> FitResult:
-    """Weighted least-squares fit of y = A exp(-t/tau).
+    """Weighted least-squares fit of y = A exp(-t/tau), converged, with absolute sigmas.
 
-    Initialization is a weighted straight-line fit of ln y; one Gauss-Newton
-    pass then refines (A, tau) on the nonlinear model.  Standard errors come
-    from the Jacobian at the solution.
+    The shared model y = a exp(b g) of `_fit_exp_model` with g = t, A = a and
+    tau = -1/b; the stderr of tau follows by the delta method, exact for this
+    reparametrization of the covariance inv(J^T J).
     """
-    t = np.asarray(series.x, dtype=float)
-    y = np.asarray(series.y, dtype=float)
+    t, y = series.x, series.y
     if len(t) < 3:
         raise DataError(f"need at least 3 points, got {len(t)}")
     if np.any(y <= 0):
         raise DataError("decay fit needs strictly positive values")
-    sigma = _sigma_or_unit(series.y_err)
-
-    # ln y = ln A - t/tau, weighted by the propagated log-error y/sigma
-    w = y / sigma
-    coef, *_ = np.linalg.lstsq(
-        np.column_stack([w, w * t]), w * np.log(y), rcond=None
-    )
-    log_a, slope = coef
-    if not np.isfinite(slope) or slope >= -1e-12 * max(abs(log_a), 1.0):
+    a, b, cov, residual_norm = _fit_exp_model(t, y, series.y_err)
+    if b >= -1e-12 * max(abs(math.log(a)), 1.0):
         raise FitError("no decay detected; 1/e time is unbounded")
-    a, tau = math.exp(log_a), -1.0 / slope
-
-    # one Gauss-Newton refinement on the nonlinear residuals
-    model = a * np.exp(-t / tau)
-    jac = np.column_stack([model / a, model * t / tau**2]) / sigma[:, None]
-    r = (y - model) / sigma
-    step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-    a, tau = a + step[0], tau + step[1]
-    if not (np.isfinite(tau) and tau > 0 and np.isfinite(a) and a > 0):
-        raise FitError(f"refinement left the model region (A={a}, tau={tau})")
-
-    model = a * np.exp(-t / tau)
-    jac = np.column_stack([model / a, model * t / tau**2]) / sigma[:, None]
-    r = (y - model) / sigma
-    cov = np.linalg.inv(jac.T @ jac)
+    tau = -1.0 / b
     return FitResult(
         params={"amplitude": a, "tau": tau},
-        stderr={"amplitude": math.sqrt(cov[0, 0]), "tau": math.sqrt(cov[1, 1])},
-        residual_norm=float(np.linalg.norm(r)),
+        stderr={"amplitude": math.sqrt(cov[0, 0]), "tau": tau**2 * math.sqrt(cov[1, 1])},
+        residual_norm=residual_norm,
         n_points=len(t),
     )
 
@@ -153,7 +172,9 @@ def fit_sqrt_background(background: SweepSeries, technical: SweepSeries) -> FitR
 
     Subtracts the technical series pointwise and fits y = a * P**c with the
     exponent free, so a square-root scaling is an outcome (c near 0.5), not
-    an assumption.  Zero-power points carry no information on c and are
+    an assumption: the shared model of `_fit_exp_model` with g = ln P and
+    c = b, converged, with the errors of both series added in quadrature as
+    absolute sigmas.  Zero-power points carry no information on c and are
     skipped.
     """
     p = np.asarray(background.x, dtype=float)
@@ -163,36 +184,15 @@ def fit_sqrt_background(background: SweepSeries, technical: SweepSeries) -> FitR
         raise DataError("powers must be >= 0")
     d = background.y - technical.y
     sigma = np.sqrt(background.y_err**2 + technical.y_err**2)
-    sigma = np.where(sigma > 0, sigma, 1.0)
     if not np.any(d > 0):
         raise DataError("subtracted series has no positive values to fit")
 
-    pos = (p > 0) & (d > 0)
-    if pos.sum() < 2:
-        raise FitError("need at least 2 positive subtracted points")
-    w = d[pos] / sigma[pos]
-    coef, *_ = np.linalg.lstsq(
-        np.column_stack([w, w * np.log(p[pos])]), w * np.log(d[pos]), rcond=None
-    )
-    a, c = math.exp(coef[0]), coef[1]
-
     use = p > 0
-    pw, dw, sw = p[use], d[use], sigma[use]
-    model = a * pw**c
-    jac = np.column_stack([model / a, model * np.log(pw)]) / sw[:, None]
-    step, *_ = np.linalg.lstsq(jac, (dw - model) / sw, rcond=None)
-    a, c = a + step[0], c + step[1]
-    if not (np.isfinite(a) and a > 0 and np.isfinite(c)):
-        raise FitError(f"power-law refinement diverged (a={a}, c={c})")
-
-    model = a * pw**c
-    jac = np.column_stack([model / a, model * np.log(pw)]) / sw[:, None]
-    r = (dw - model) / sw
-    cov = np.linalg.inv(jac.T @ jac)
+    a, c, cov, residual_norm = _fit_exp_model(np.log(p[use]), d[use], sigma[use])
     return FitResult(
         params={"a": a, "c": c},
         stderr={"a": math.sqrt(cov[0, 0]), "c": math.sqrt(cov[1, 1])},
-        residual_norm=float(np.linalg.norm(r)),
+        residual_norm=residual_norm,
         n_points=int(use.sum()),
     )
 
@@ -204,8 +204,9 @@ class StateResult:
     efficiency: float
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise DataError(f"efficiency {self.efficiency} outside [0, 1]")
+        # a negative efficiency is a valid, unclamped estimate (see storage_efficiency)
+        if not self.efficiency <= 1.0:
+            raise DataError(f"efficiency {self.efficiency} above 1")
 
 
 @dataclass(frozen=True)
@@ -245,11 +246,6 @@ class StorageReport:
             f"{self.sem['fidelity']:>10.4f}{self.sem['efficiency']:>12.4f}"
         )
         return "\n".join(lines)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def build_report(

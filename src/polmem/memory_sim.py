@@ -14,6 +14,7 @@ worker count (see streams.py).
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -87,6 +88,12 @@ class MemoryConfig:
     dephasing: float = _CONFIG_DEFAULTS["dephasing"]
 
     def __post_init__(self):
+        for name, default in _CONFIG_DEFAULTS.items():
+            v = getattr(self, name)
+            if isinstance(default, float) and (
+                isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
+            ):
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
         for name in ("eta_h", "eta_v"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -68,6 +68,15 @@ def test_simulate_bad_state_exit_2(tmp_path, cfg_path):
                "--trials", 10, "--seed", 1, "--out", tmp_path / "x.json") == 2
 
 
+@pytest.mark.parametrize("body", ['{"p_in": NaN}', '{"eta_h": "0.5"}'])
+def test_simulate_non_finite_or_non_numeric_config_exit_2(tmp_path, body):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(body)
+    assert run("simulate", "--config", cfg, "--state", "H", "--trials", 1000,
+               "--seed", 1, "--out", tmp_path / "h.json") == 2
+    assert not (tmp_path / "h.json").exists()
+
+
 def test_simulate_manifest_records_run(tmp_path, cfg_path):
     out = tmp_path / "h.json"
     assert run("simulate", "--config", cfg_path, "--state", "H",
@@ -217,6 +226,13 @@ def test_model_curve_bad_range_exit_2(tmp_path):
     assert run("model-curve", "--p-points", 0, "--out", tmp_path / "c.csv") == 2
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert run("model-curve", "--out", target) == 2
+    assert list(tmp_path.glob("*.tmp.*")) == []
+
+
 def test_model_curve_json_format(tmp_path):
     out = tmp_path / "curve.json"
     assert run("model-curve", "--p-points", 3, "--format", "json", "--out", out) == 0
@@ -253,6 +269,13 @@ def test_fit_background_recovers_sqrt(tmp_path, tmp_path_factory):
                "--technical", tmp_path / "bg.technical.csv", "--out", out) == 0
     result = json.loads(out.read_text())
     assert result["params"]["c"] == pytest.approx(0.5, abs=0.05)
+    csv_out = tmp_path / "fit.csv"
+    assert run("fit", "--kind", "background", "--series", bg, "--technical",
+               tmp_path / "bg.technical.csv", "--format", "csv", "--out", csv_out) == 0
+    rows = [line.split(",") for line in csv_out.read_text().splitlines()[1:]]
+    assert [(name, float(v), float(e)) for name, v, e in rows] == [
+        (name, result["params"][name], result["stderr"][name]) for name in ("a", "c")
+    ]
 
 
 def test_fit_stokes_identifies_d_state(tmp_path, sym_cfg_path):
@@ -280,6 +303,27 @@ def test_fit_constant_series_exit_3(tmp_path):
                 "storage_time_us", "efficiency").save_csv(const)
     assert run("fit", "--kind", "decay", "--series", const,
                "--out", tmp_path / "f.json") == 3
+
+
+def _write_sweep(path, text):
+    path.write_text("x,y,y_err\n" + text)
+    return path
+
+
+def test_fit_degenerate_sweeps_exit_3(tmp_path):
+    one_time = _write_sweep(tmp_path / "d.csv", "5.0,0.05,0.001\n5.0,0.04,0.001\n5.0,0.03,0.001\n")
+    assert run("fit", "--kind", "decay", "--series", one_time,
+               "--out", tmp_path / "f.json") == 3
+    bg = _write_sweep(tmp_path / "bg.csv", "2.0,0.05,0.001\n2.0,0.04,0.001\n2.0,0.03,0.001\n")
+    tech = _write_sweep(tmp_path / "te.csv", "2.0,0.01,0.001\n2.0,0.01,0.001\n2.0,0.01,0.001\n")
+    assert run("fit", "--kind", "background", "--series", bg, "--technical", tech,
+               "--out", tmp_path / "f.json") == 3
+
+
+def test_fit_non_finite_sweep_exit_2(tmp_path):
+    nan_row = _write_sweep(tmp_path / "d.csv", "0.0,0.05,0.001\n5.0,nan,0.001\n10.0,0.03,0.001\n")
+    assert run("fit", "--kind", "decay", "--series", nan_row,
+               "--out", tmp_path / "f.json") == 2
 
 
 def test_fit_missing_inputs_exit_2(tmp_path):

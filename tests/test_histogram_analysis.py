@@ -23,6 +23,8 @@ from polmem.memory_sim import (
     ArrivalHistogram,
     MemoryConfig,
     SweepSeries,
+    simulate_background_sweep,
+    simulate_decay_series,
     simulate_histogram,
 )
 from polmem.polarization import CANONICAL_STATES, STATE_NAMES, StokesVector, stokes_from_qubit
@@ -179,6 +181,55 @@ def test_decay_fit_growing_series_rejected():
         fit_exponential_decay(SweepSeries(t, 0.01 * np.exp(t / 5.0), np.zeros(5)))
 
 
+# ---------------------------------------------------- both sweep fits
+
+
+@pytest.fixture(scope="module")
+def acceptance_sweeps():
+    """The simulated sweeps of acceptance criteria 5 and 6 (same configs and seeds)."""
+    decay = simulate_decay_series(MemoryConfig(), list(np.linspace(0.0, 35.0, 8)), 1_000_000, 500)
+    cfg = MemoryConfig(eta_h=0.0, eta_v=0.0, bg_rate=0.004, tech_rate=0.002)
+    background, technical = simulate_background_sweep(
+        cfg, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0], 2_000_000, 600
+    )
+    return decay, background, technical
+
+
+def _weighted_jacobian_step(model, dmodel, y, sigma):
+    """Gauss-Newton step and inv(J^T J) of the sigma-weighted model at a point."""
+    sigma = np.where(sigma > 0, sigma, 1.0)
+    jac = np.column_stack(dmodel) / sigma[:, None]
+    step, *_ = np.linalg.lstsq(jac, (y - model) / sigma, rcond=None)
+    return step, np.linalg.inv(jac.T @ jac)
+
+
+def test_sweep_fits_converged_with_jacobian_stderr(acceptance_sweeps):
+    decay, background, technical = acceptance_sweeps
+    fit = fit_exponential_decay(decay)
+    a, tau = fit.params["amplitude"], fit.params["tau"]
+    t = decay.x
+    model = a * np.exp(-t / tau)
+    step, cov = _weighted_jacobian_step(
+        model, (model / a, model * t / tau**2), decay.y, decay.y_err
+    )
+    checks = [(step, (a, tau), cov, (fit.stderr["amplitude"], fit.stderr["tau"]))]
+
+    fit = fit_sqrt_background(background, technical)
+    a, c = fit.params["a"], fit.params["c"]
+    p = background.x
+    model = a * p**c
+    step, cov = _weighted_jacobian_step(
+        model, (model / a, model * np.log(p)), background.y - technical.y,
+        np.sqrt(background.y_err**2 + technical.y_err**2),
+    )
+    checks.append((step, (a, c), cov, (fit.stderr["a"], fit.stderr["c"])))
+
+    for step, params, cov, stderr in checks:
+        # one further Gauss-Newton step no longer moves the solution
+        assert np.all(np.abs(step) < 1e-9 * np.abs(params)), (step, params)
+        assert_allclose(stderr, np.sqrt(np.diag(cov)), rtol=1e-6)
+
+
 # ---------------------------------------------------------- power-law fit
 
 
@@ -310,8 +361,17 @@ def test_report_serialization_shapes():
 def test_state_result_validates_efficiency_range():
     with pytest.raises(DataError):
         StateResult(sbr=1.0, fidelity=0.9, efficiency=1.2)
-    with pytest.raises(DataError):
-        StateResult(sbr=1.0, fidelity=0.9, efficiency=-0.01)
+    # background subtraction is never clamped, so a negative estimate stands
+    assert StateResult(sbr=1.0, fidelity=0.9, efficiency=-0.01).efficiency == -0.01
+
+
+def test_report_negative_efficiency_reported_with_warning():
+    storage = {n: make_hist(100, 120, n_trials=1000) for n in STATE_NAMES}
+    reference = ArrivalHistogram(0.0, 0.05, np.array([10_000] + [0] * 159), 1000)
+    with pytest.warns(UserWarning, match="negative"):
+        report = build_report(storage, reference, ROI, BG, ideal_stokes())
+    assert report.average["efficiency"] == pytest.approx(-0.002)
+    assert report.average["sbr"] == pytest.approx(-20 / 120)
 
 
 def test_report_rejects_tampered_averages():
