@@ -16,6 +16,7 @@ from .errors import (
     PolmemError,
     UndefinedRatioError,
 )
+from .data import ArrivalHistogram, SweepSeries, Window
 from .fitting import FitResult
 from .polarization import (
     CANONICAL_STATES,
@@ -42,9 +43,7 @@ from .noise_model import (
     model_sbr,
 )
 from .memory_sim import (
-    ArrivalHistogram,
     MemoryConfig,
-    SweepSeries,
     retrieved_stokes,
     simulate_background_sweep,
     simulate_decay_series,
@@ -54,7 +53,6 @@ from .memory_sim import (
 )
 from .histogram_analysis import (
     StorageReport,
-    Window,
     build_report,
     fit_exponential_decay,
     fit_sqrt_background,

@@ -15,7 +15,6 @@ outputs, and all files are written atomically (temp + rename).  Exit codes:
 """
 
 import argparse
-import contextlib
 import datetime
 import json
 import math
@@ -25,11 +24,10 @@ import sys
 import numpy as np
 
 from . import __version__
+from .data import ArrivalHistogram, SweepSeries, Window, write_text
 from .errors import ConfigError, DataError, FitError
 from .memory_sim import (
-    ArrivalHistogram,
     MemoryConfig,
-    SweepSeries,
     simulate_background_sweep,
     simulate_decay_series,
     simulate_histogram,
@@ -46,7 +44,6 @@ from .polarization import (
     write_polarimetry_csv,
 )
 from .histogram_analysis import (
-    Window,
     build_report,
     fit_exponential_decay,
     fit_sqrt_background,
@@ -55,22 +52,13 @@ from .histogram_analysis import (
 SIM_KINDS = ("histogram", "reference", "polarimetry", "decay", "background")
 
 
-def _atomic_write(path: str, content) -> None:
-    """Write text, or run `saver(tmp_path)`, into a temp file renamed into place.
-
-    The temp file is removed if the write or the rename fails."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        if callable(content):
-            content(tmp)
-        else:
-            with open(tmp, "w", newline="") as fh:
-                fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+def _int_at_least(low: int):
+    """argparse type for an integer >= low; argparse exits 2 on anything else."""
+    def integer(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _json_text(obj) -> str:
@@ -86,7 +74,7 @@ def _write_manifest(args, outputs: list) -> None:
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _atomic_write(outputs[0] + ".manifest.json", _json_text(manifest))
+    write_text(outputs[0] + ".manifest.json", _json_text(manifest))
 
 
 def _float_list(text: str, flag: str) -> list:
@@ -117,10 +105,10 @@ def cmd_simulate(args) -> int:
             config, state, analyzer, args.trials, args.seed,
             workers=args.workers, label=f"storage:{args.state}",
         )
-        _atomic_write(args.out, hist.save)
+        hist.save(args.out)
     elif args.kind == "reference":
         hist = simulate_reference(config, args.trials, args.seed, workers=args.workers)
-        _atomic_write(args.out, hist.save)
+        hist.save(args.out)
     elif args.kind == "polarimetry":
         if args.angles:
             angles = [math.radians(a) for a in _float_list(args.angles, "--angles")]
@@ -131,23 +119,23 @@ def cmd_simulate(args) -> int:
             noiseless=args.noiseless,
         )
         samples = [PolarimetrySample(a, y) for a, y in zip(sweep.x, sweep.y)]
-        _atomic_write(args.out, lambda p: write_polarimetry_csv(p, samples))
+        write_polarimetry_csv(args.out, samples)
     elif args.kind == "decay":
         if not args.times:
             raise ConfigError("--kind decay requires --times")
         series = simulate_decay_series(
             config, _float_list(args.times, "--times"), args.trials, args.seed
         )
-        _atomic_write(args.out, series.save_csv)
+        series.save_csv(args.out)
     elif args.kind == "background":
         if not args.powers:
             raise ConfigError("--kind background requires --powers")
         bg, tech = simulate_background_sweep(
             config, _float_list(args.powers, "--powers"), args.trials, args.seed
         )
-        _atomic_write(args.out, bg.save_csv)
+        bg.save_csv(args.out)
         tech_path = _technical_path(args.out)
-        _atomic_write(tech_path, tech.save_csv)
+        tech.save_csv(tech_path)
         outputs.append(tech_path)
     _write_manifest(args, outputs)
     return 0
@@ -180,7 +168,7 @@ def cmd_analyze(args) -> int:
         vec, _ = fit_stokes(read_polarimetry_csv(path))
         measured[name] = vec.normalize()
     report = build_report(storage, reference, roi, bg, measured)
-    _atomic_write(args.out, _json_text(report.to_json()))
+    write_text(args.out, _json_text(report.to_json()))
     print(report.to_text())
     return 0
 
@@ -201,7 +189,7 @@ def cmd_model_curve(args) -> int:
         lines = ["p,sbr,fidelity"]
         lines += [f"{p!r},{s!r},{f!r}" for p, s, f in rows]
         text = "\n".join(lines) + "\n"
-    _atomic_write(args.out, text)
+    write_text(args.out, text)
     return 0
 
 
@@ -228,7 +216,7 @@ def cmd_fit(args) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = _json_text({**result.to_dict(), **extra})
-    _atomic_write(args.out, text)
+    write_text(args.out, text)
     print(text, end="")
     return 0
 
@@ -249,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="polarimeter plate angle in degrees (histogram kind)")
     p_sim.add_argument("--trials", type=int, required=True,
                        help="pulses (per angle/point for sweep kinds)")
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--seed", type=_int_at_least(0), required=True)
+    p_sim.add_argument("--workers", type=_int_at_least(1), default=1)
     p_sim.add_argument("--angles", default=None,
                        help="comma-separated plate angles in degrees (polarimetry kind)")
     p_sim.add_argument("--times", default=None,
@@ -298,10 +286,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FitError as exc:
+    except (FitError, np.linalg.LinAlgError) as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, DataError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

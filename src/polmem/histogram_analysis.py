@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import ArrivalHistogram, SweepSeries, Window
 from .errors import ConfigError, DataError, FitError, UndefinedRatioError
 from .fitting import FitResult
-from .memory_sim import ArrivalHistogram, SweepSeries
 from .polarization import (
     CANONICAL_STATES,
     STATE_NAMES,
@@ -32,29 +32,13 @@ from .polarization import (
 _ALIGN_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Window:
-    """Half-open time window [start, end) in microseconds."""
-
-    start: float
-    end: float
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ConfigError(f"window must satisfy 0 <= start < end, got [{self.start}, {self.end})")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
 def _bin_index(t: float, hist: ArrivalHistogram, what: str) -> int:
     x = (t - hist.t_start) / hist.bin_width
+    if not -0.5 < x < len(hist.counts) + 0.5:  # also rejects an overflowed x = inf
+        raise DataError(f"{what} {t} lies outside the histogram span")
     i = round(x)
     if abs(x - i) > _ALIGN_TOL:
         raise DataError(f"{what} {t} is not aligned to the histogram bins")
-    if not 0 <= i <= len(hist.counts):
-        raise DataError(f"{what} {t} lies outside the histogram span")
     return i
 
 

@@ -11,15 +11,15 @@ All entry points are deterministic functions of their seed, independent of
 worker count (see streams.py).
 """
 
-import csv
 import json
 import math
-import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .data import ArrivalHistogram, SweepSeries, Window, is_finite_number, read_json, write_text
+from .errors import ConfigError
+from .histogram_analysis import roi_counts, storage_efficiency
 from .polarization import (
     QubitAngles,
     StokesVector,
@@ -35,28 +35,10 @@ INPUT_PULSE_US = 1.0
 # state used for storage-time scans; equal weight on both rails
 DECAY_SCAN_STATE = QubitAngles(math.pi / 4, 0.0)
 
-_CONFIG_DEFAULTS = dict(
-    eta_h=0.079,
-    eta_v=0.053,
-    p_in=1.6,
-    chain=1.0,
-    bg_rate=0.005,
-    tech_rate=0.0,
-    roi_start=2.4,
-    roi_end=3.4,
-    bg_window_start=6.0,
-    bg_window_end=7.0,
-    bin_width=0.05,
-    t_max=8.0,
-    tau_coherence=19.3,
-    retrieval_shape="exponential",
-    dephasing=0.0,
-)
-
 
 def _is_multiple(x: float, step: float) -> bool:
     r = x / step
-    return abs(r - round(r)) < 1e-9
+    return math.isfinite(r) and abs(r - round(r)) < 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,29 +53,27 @@ class MemoryConfig:
     sqrt(power) and power respectively).
     """
 
-    eta_h: float = _CONFIG_DEFAULTS["eta_h"]
-    eta_v: float = _CONFIG_DEFAULTS["eta_v"]
-    p_in: float = _CONFIG_DEFAULTS["p_in"]
-    chain: float = _CONFIG_DEFAULTS["chain"]
-    bg_rate: float = _CONFIG_DEFAULTS["bg_rate"]
-    tech_rate: float = _CONFIG_DEFAULTS["tech_rate"]
-    roi_start: float = _CONFIG_DEFAULTS["roi_start"]
-    roi_end: float = _CONFIG_DEFAULTS["roi_end"]
-    bg_window_start: float = _CONFIG_DEFAULTS["bg_window_start"]
-    bg_window_end: float = _CONFIG_DEFAULTS["bg_window_end"]
-    bin_width: float = _CONFIG_DEFAULTS["bin_width"]
-    t_max: float = _CONFIG_DEFAULTS["t_max"]
-    tau_coherence: float = _CONFIG_DEFAULTS["tau_coherence"]
-    retrieval_shape: str = _CONFIG_DEFAULTS["retrieval_shape"]
-    dephasing: float = _CONFIG_DEFAULTS["dephasing"]
+    eta_h: float = 0.079
+    eta_v: float = 0.053
+    p_in: float = 1.6
+    chain: float = 1.0
+    bg_rate: float = 0.005
+    tech_rate: float = 0.0
+    roi_start: float = 2.4
+    roi_end: float = 3.4
+    bg_window_start: float = 6.0
+    bg_window_end: float = 7.0
+    bin_width: float = 0.05
+    t_max: float = 8.0
+    tau_coherence: float = 19.3
+    retrieval_shape: str = "exponential"
+    dephasing: float = 0.0
 
     def __post_init__(self):
-        for name, default in _CONFIG_DEFAULTS.items():
-            v = getattr(self, name)
-            if isinstance(default, float) and (
-                isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
-            ):
-                raise ConfigError(f"{name} must be a finite number, got {v!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, float) and not is_finite_number(v):
+                raise ConfigError(f"{f.name} must be a finite number, got {v!r}")
         for name in ("eta_h", "eta_v"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -147,130 +127,18 @@ class MemoryConfig:
         return asdict(self)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        write_text(path, json.dumps(self.to_json(), indent=2) + "\n")
 
     @classmethod
     def from_json(cls, data: dict) -> "MemoryConfig":
-        unknown = set(data) - set(_CONFIG_DEFAULTS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
     @classmethod
     def load(cls, path) -> "MemoryConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
-        return cls.from_json(data)
-
-
-@dataclass
-class ArrivalHistogram:
-    """Time-binned photon counts accumulated over n_trials pulses."""
-
-    t_start: float
-    bin_width: float
-    counts: np.ndarray
-    n_trials: int
-    label: str = ""
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1:
-            raise DataError("counts must be one-dimensional")
-        if np.any(self.counts < 0):
-            raise DataError("counts must be nonnegative")
-        if self.n_trials < 1:
-            raise DataError(f"n_trials must be >= 1, got {self.n_trials}")
-
-    @property
-    def t_max(self) -> float:
-        return self.t_start + len(self.counts) * self.bin_width
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def to_json(self) -> dict:
-        return {
-            "t_start_us": self.t_start,
-            "bin_width_us": self.bin_width,
-            "n_trials": self.n_trials,
-            "counts": self.counts.tolist(),
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ArrivalHistogram":
-        expected = {"t_start_us", "bin_width_us", "n_trials", "counts", "label"}
-        if set(data) != expected:
-            raise DataError(f"histogram keys must be {sorted(expected)}, got {sorted(data)}")
-        return cls(
-            t_start=float(data["t_start_us"]),
-            bin_width=float(data["bin_width_us"]),
-            counts=np.asarray(data["counts"], dtype=np.int64),
-            n_trials=int(data["n_trials"]),
-            label=str(data["label"]),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "ArrivalHistogram":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
-
-@dataclass
-class SweepSeries:
-    """Generic measured series: abscissa, values, statistical errors."""
-
-    x: np.ndarray
-    y: np.ndarray
-    y_err: np.ndarray
-    x_name: str = "x"
-    y_name: str = "y"
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        self.y_err = np.asarray(self.y_err, dtype=float)
-        if not len(self.x) == len(self.y) == len(self.y_err):
-            raise DataError("x, y and y_err must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def save_csv(self, path) -> None:
-        """CSV with header `<x_name>,<y_name>,y_err`; full-precision floats."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([self.x_name, self.y_name, "y_err"])
-            for xi, yi, ei in zip(self.x, self.y, self.y_err):
-                w.writerow([repr(float(xi)), repr(float(yi)), repr(float(ei))])
-
-    @classmethod
-    def load_csv(cls, path) -> "SweepSeries":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or len(rows[0]) != 3 or rows[0][2] != "y_err":
-            raise DataError(f"{path} is not a sweep CSV (expected 3 columns ending in y_err)")
-        x_name, y_name = rows[0][0], rows[0][1]
-        try:
-            body = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
-        except ValueError as exc:
-            raise DataError(f"malformed sweep CSV {path}: {exc}") from exc
-        if body.size == 0:
-            body = np.empty((0, 3))
-        return cls(body[:, 0], body[:, 1], body[:, 2], x_name, y_name)
+        return cls.from_json(read_json(path, ConfigError))
 
 
 def retrieved_stokes(config: MemoryConfig, state: QubitAngles) -> StokesVector:
@@ -412,8 +280,6 @@ def simulate_decay_series(
     is analyzed with the standard window procedure against a simulated
     reference run.
     """
-    from .histogram_analysis import Window, roi_counts, storage_efficiency
-
     times = np.asarray(storage_times, dtype=float)
     if np.any(times < 0):
         raise ConfigError("storage times must be >= 0")

@@ -15,17 +15,18 @@ Conventions used throughout the package:
   linear least squares on the basis {1, sin 2t, cos 4t, sin 4t}.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import read_csv, write_csv
 from .errors import DataError, DegenerateGeometryError, IllConditionedFitError
 from .fitting import FitResult
 
 DOP_TOL = 1e-9
 STATE_NAMES = ("H", "V", "D", "A", "R", "L")
+_POLARIMETRY_HEADER = ["qwp_angle_deg", "intensity"]
 
 
 @dataclass(frozen=True)
@@ -286,19 +287,14 @@ def degree_of_polarization(s: StokesVector) -> float:
 
 def write_polarimetry_csv(path, samples: list[PolarimetrySample]) -> None:
     """Write a sweep as CSV with header qwp_angle_deg,intensity."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["qwp_angle_deg", "intensity"])
-        for p in samples:
-            w.writerow([repr(float(math.degrees(p.qwp_angle))), repr(float(p.intensity))])
+    rows = [(math.degrees(p.qwp_angle), p.intensity) for p in samples]
+    write_csv(path, _POLARIMETRY_HEADER, rows)
 
 
 def read_polarimetry_csv(path) -> list[PolarimetrySample]:
     """Read a sweep written by write_polarimetry_csv."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["qwp_angle_deg", "intensity"]:
-        raise DataError(f"{path}: expected header qwp_angle_deg,intensity")
-    return [
-        PolarimetrySample(math.radians(float(a)), float(i)) for a, i in rows[1:]
-    ]
+    _, body = read_csv(path, _POLARIMETRY_HEADER)
+    try:
+        return [PolarimetrySample(math.radians(a), i) for a, i in body.tolist()]
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

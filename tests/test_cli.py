@@ -331,6 +331,17 @@ def test_fit_missing_inputs_exit_2(tmp_path):
     assert run("fit", "--kind", "stokes", "--out", tmp_path / "f.json") == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", -1), ("--workers", 0), ("--workers", -3)])
+def test_simulate_out_of_range_integer_flags_exit_2(tmp_path, cfg_path, capsys, flag, value):
+    ints = {"--seed": 1, "--workers": 1, flag: value}
+    with pytest.raises(SystemExit) as exc:
+        run("simulate", "--config", cfg_path, "--state", "H", "--trials", 100,
+            "--out", tmp_path / "h.json", *(a for item in ints.items() for a in item))
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "h.json").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

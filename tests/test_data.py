@@ -1,0 +1,257 @@
+"""The file boundary: what polmem accepts from a config, histogram or sweep file.
+
+Every malformed input file ends the CLI with exit 2 and a message naming the
+file (for a CSV also the line, and the field when one field fails), never
+with a traceback.  The package's import graph has no cycle.
+"""
+
+import ast
+import contextlib
+import io
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import polmem as pm
+from polmem.cli import main
+from polmem.polarization import write_polarimetry_csv
+
+SRC = Path(pm.__file__).parent
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A valid config, six-state analyze set, decay sweep and polarimetry sweep."""
+    d = tmp_path_factory.mktemp("inputs")
+    cfg = pm.MemoryConfig()
+    cfg.save(d / "cfg.json")
+    pm.simulate_reference(cfg, 20_000, 1).save(d / "ref.json")
+    for i, s in enumerate(pm.STATE_NAMES):
+        state = pm.CANONICAL_STATES[s]
+        hist = pm.simulate_histogram(cfg, state, None, 20_000, 10 + i, label=f"storage:{s}")
+        hist.save(d / f"st_{s}.json")
+        angles = np.linspace(0, math.pi, 16)
+        sweep = pm.simulate_polarimetry_sweep(cfg, state, angles, 5_000, 20 + i)
+        samples = [pm.PolarimetrySample(a, y) for a, y in zip(sweep.x, sweep.y)]
+        write_polarimetry_csv(d / f"sw_{s}.csv", samples)
+    pm.SweepSeries([0.0, 5.0, 10.0], [0.05, 0.04, 0.03], [0.001] * 3).save_csv(d / "decay.csv")
+    return d
+
+
+def _analyze(d, reference=None, storage_h=None, stokes_h=None):
+    """`polmem analyze` on the valid set, with the reference, or state H's
+    storage histogram or polarimetry sweep, replaced."""
+    argv = ["analyze", "--config", d / "cfg.json", "--reference", reference or d / "ref.json",
+            "--out", d / "report.json"]
+    for s in pm.STATE_NAMES:
+        hist, sweep = d / f"st_{s}.json", d / f"sw_{s}.csv"
+        if s == "H":
+            hist, sweep = storage_h or hist, stokes_h or sweep
+        argv += ["--storage", f"{s}={hist}", "--stokes", f"{s}={sweep}"]
+    return main([str(a) for a in argv])
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return path
+
+
+def _replace(key, fn):
+    return lambda d: {**d, key: fn(d[key])}
+
+
+def test_valid_inputs_pass(inputs):
+    assert _analyze(inputs) == 0
+    assert main(["fit", "--kind", "decay", "--series", str(inputs / "decay.csv"),
+                 "--out", str(inputs / "f.json")]) == 0
+
+
+# ------------------------------------------------- regression: one case per row
+
+
+HISTOGRAM_CASES = {  # which file of a valid analyze set, and how it is edited
+    "count-not-a-number": ("storage_h", _replace("counts", lambda c: ["a"] + c[1:])),
+    "count-1e30": ("storage_h", _replace("counts", lambda c: [1e30] + c[1:])),
+    "top-level-array": ("storage_h", lambda d: [[1]]),
+    "n_trials-string": ("storage_h", _replace("n_trials", lambda n: "x")),
+    "t_start-nan": ("storage_h", _replace("t_start_us", lambda t: math.nan)),
+    "fractional-count-and-n_trials": (
+        "storage_h", lambda d: {**d, "counts": [1.7] + d["counts"][1:], "n_trials": 1.5}),
+    "reference-zero-bin-nan-start": (
+        "reference", lambda d: {**d, "bin_width_us": 0, "t_start_us": math.nan}),
+    "fractional-n_trials": ("storage_h", _replace("n_trials", lambda n: 1.9)),
+    "n_trials-beyond-float": ("storage_h", _replace("n_trials", lambda n: 10**400)),
+    "not-utf8": ("storage_h", lambda d: b'{"label": "\xff"}'),
+}
+
+
+@pytest.mark.parametrize("case", HISTOGRAM_CASES)
+def test_malformed_histogram_exit_2(inputs, tmp_path, capsys, case):
+    role, edit = HISTOGRAM_CASES[case]
+    source = inputs / ("ref.json" if role == "reference" else "st_H.json")
+    bad = _write(tmp_path / "bad.json", edit(json.loads(source.read_text())))
+    assert _analyze(inputs, **{role: bad}) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def _check_csv_rejected(tmp_path, capsys, kind, flag, body, line, field):
+    """`fit --kind kind` exits 2 on the CSV body, naming the file, line and field."""
+    bad = _write(tmp_path / "bad.csv", body)
+    assert main(["fit", "--kind", kind, flag, str(bad), "--out", str(tmp_path / "f.json")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert line is None or f"line {line}" in err
+    assert field is None or f"field {field!r}" in err
+
+
+SWEEP_CASES = {  # body, line and field the message must name
+    "short-rows": ("t,y,y_err\n0.0,0.05\n5.0,0.04\n", 2, None),
+    "long-rows": ("t,y,y_err\n0.0,0.05,0.001,9\n", 2, None),
+    "nan-field": ("t,y,y_err\n0.0,0.05,0.001\n5.0,nan,0.001\n", 3, "y"),
+    "not-a-number": ("t,y,y_err\n0.0,0.05,0.001\n5.0,0.04,1e-3x\n", 3, "y_err"),
+    "not-utf8": (b"t,y,y_err\n0.0,0.05,\xff\n", None, None),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_malformed_sweep_csv_exit_2(tmp_path, capsys, case):
+    _check_csv_rejected(tmp_path, capsys, "decay", "--series", *SWEEP_CASES[case])
+
+
+POLARIMETRY_CASES = {  # body, line and field the message must name
+    "short-row": ("qwp_angle_deg,intensity\n0.0,1.0\n22.5\n", 3, None),
+    "not-a-number": ("qwp_angle_deg,intensity\n0.0,1.0\n22.5,abc\n", 3, "intensity"),
+    "not-utf8": (b"qwp_angle_deg,intensity\n0.0,\xff\n", None, None),
+    "negative-intensity": ("qwp_angle_deg,intensity\n0.0,1.0\n22.5,-1.0\n", None, None),
+}
+
+
+@pytest.mark.parametrize("case", POLARIMETRY_CASES)
+def test_malformed_polarimetry_csv_exit_2(tmp_path, capsys, case):
+    _check_csv_rejected(tmp_path, capsys, "stokes", "--samples", *POLARIMETRY_CASES[case])
+
+
+CONFIG_CASES = {  # body, what the message must name (a command reads one config)
+    "not-utf8": (b'{"p_in": "\xff"}', "cfg.json"),
+    "int-beyond-float": ('{"p_in": 1' + "0" * 400 + "}", "p_in"),
+    "t_max-over-bin_width-overflows": ('{"t_max": 1e308, "bin_width": 1e-10}', "t_max"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_CASES)
+def test_malformed_config_exit_2(tmp_path, capsys, case):
+    body, named = CONFIG_CASES[case]
+    bad = _write(tmp_path / "cfg.json", body)
+    assert main(["simulate", "--config", str(bad), "--state", "H", "--trials", "10",
+                 "--seed", "1", "--out", str(tmp_path / "h.json")]) == 2
+    assert named in capsys.readouterr().err
+
+
+# --------------------------------------------- property: never a traceback
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=8,
+)
+# Files of the right shape with arbitrary values, so that the checks past the
+# parser and the analysis itself run too: histograms with the right keys...
+HISTOGRAMS = st.fixed_dictionaries({
+    "t_start_us": st.just(0.0) | st.floats() | JSON,
+    "bin_width_us": st.just(0.05) | st.floats() | JSON,
+    "n_trials": st.integers(min_value=1) | JSON,
+    "counts": st.lists(st.integers(min_value=-1, max_value=2**64), min_size=160, max_size=160)
+    | JSON,
+    "label": JSON,
+}).map(lambda v: json.dumps(v).encode())
+
+
+def _csv(header):
+    """...and CSVs with the right header and width, of any floats."""
+    rows = st.lists(st.lists(st.floats().map(repr), min_size=len(header), max_size=len(header)),
+                    max_size=20)
+    return rows.map(lambda rows: "\n".join(",".join(r) for r in [header, *rows]).encode())
+
+
+FILE = st.binary(max_size=64) | JSON.map(lambda v: json.dumps(v).encode())
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _exit_code(run, path, content):
+    """Exit code of run() on a file holding content; its output is dropped."""
+    path.write_bytes(content)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run()
+
+
+@PROPERTY
+@given(content=FILE)
+def test_any_config_file_never_raises(inputs, content):
+    path = inputs / "fuzz_cfg.json"
+    argv = ["simulate", "--config", str(path), "--state", "H", "--trials", "10", "--seed", "1",
+            "--out", str(inputs / "fuzz_h.json")]
+    assert _exit_code(lambda: main(argv), path, content) in (0, 2, 3)
+
+
+@PROPERTY
+@given(content=FILE | HISTOGRAMS, role=st.sampled_from(["reference", "storage_h"]))
+def test_any_histogram_file_never_raises(inputs, content, role):
+    path = inputs / "fuzz_hist.json"
+    assert _exit_code(lambda: _analyze(inputs, **{role: path}), path, content) in (0, 2, 3)
+
+
+@PROPERTY
+@given(content=FILE | _csv(["t", "y", "y_err"]))
+def test_any_sweep_csv_never_raises(inputs, content):
+    path = inputs / "fuzz_sweep.csv"
+    argv = ["fit", "--kind", "decay", "--series", str(path), "--out", str(inputs / "fit.json")]
+    assert _exit_code(lambda: main(argv), path, content) in (0, 2, 3)
+
+
+@PROPERTY
+@given(content=FILE | _csv(["qwp_angle_deg", "intensity"]), analyze=st.booleans())
+def test_any_polarimetry_csv_never_raises(inputs, content, analyze):
+    path = inputs / "fuzz_pol.csv"
+    argv = ["fit", "--kind", "stokes", "--samples", str(path), "--out", str(inputs / "fit.json")]
+    run = (lambda: _analyze(inputs, stokes_h=path)) if analyze else (lambda: main(argv))
+    assert _exit_code(run, path, content) in (0, 2, 3)
+
+
+# ------------------------------------------------------------ import graph
+
+
+def test_import_graph_is_acyclic():
+    """Every relative import, function-local ones too, between polmem modules."""
+    modules = {p.stem for p in SRC.glob("*.py")}
+    graph = {}
+    for name in modules:
+        edges = graph.setdefault(name, set())
+        for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    edges.add(node.module.split(".")[0])
+                else:  # `from . import x`: a sibling module, or a name of __init__
+                    edges |= {a.name if a.name in modules else "__init__" for a in node.names}
+
+    done, path = set(), []
+
+    def visit(m):
+        assert m not in path, f"import cycle: {' -> '.join(path[path.index(m):] + [m])}"
+        if m not in done:
+            path.append(m)
+            for n in sorted(graph[m]):
+                visit(n)
+            path.pop()
+            done.add(m)
+
+    for m in sorted(graph):
+        visit(m)

@@ -65,6 +65,8 @@ def test_roi_counts_window_checks():
         roi_counts(hist, Window(2.41, 3.41))  # not on the bin grid
     with pytest.raises(DataError):
         roi_counts(hist, Window(7.0, 9.0))  # beyond the span
+    with pytest.raises(DataError):  # (t - t_start) / bin_width overflows to inf
+        roi_counts(ArrivalHistogram(0.0, 1e-320, [1, 2], 1), Window(2.4, 3.4))
 
 
 def test_roi_counts_golden_simulated_value():
