@@ -47,6 +47,7 @@ from .histogram_analysis import (
     build_report,
     fit_exponential_decay,
     fit_sqrt_background,
+    sbr,
 )
 
 SIM_KINDS = ("histogram", "reference", "polarimetry", "decay", "background")
@@ -62,7 +63,7 @@ def _int_at_least(low: int):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_manifest(args, outputs: list) -> None:
@@ -158,14 +159,21 @@ def cmd_analyze(args) -> int:
     config = MemoryConfig.load(args.config)
     roi = Window(config.roi_start, config.roi_end)
     bg = Window(config.bg_window_start, config.bg_window_end)
-    storage = {
-        name: ArrivalHistogram.load(path)
-        for name, path in _parse_state_paths(args.storage, "--storage").items()
-    }
+    storage = {}
+    for name, path in _parse_state_paths(args.storage, "--storage").items():
+        storage[name] = hist = ArrivalHistogram.load(path)
+        try:  # build_report's per-histogram checks, made here where the file is known
+            sbr(hist, roi, bg)
+        except DataError as exc:
+            raise type(exc)(f"storage histogram for {name} ({path}): {exc}") from exc
     reference = ArrivalHistogram.load(args.reference)
     measured = {}
     for name, path in _parse_state_paths(args.stokes, "--stokes").items():
-        vec, _ = fit_stokes(read_polarimetry_csv(path))
+        samples = read_polarimetry_csv(path)
+        try:
+            vec, _ = fit_stokes(samples)
+        except (DataError, FitError) as exc:
+            raise type(exc)(f"polarimetry sweep for {name} ({path}): {exc}") from exc
         measured[name] = vec.normalize()
     report = build_report(storage, reference, roi, bg, measured)
     write_text(args.out, _json_text(report.to_json()))
@@ -176,8 +184,8 @@ def cmd_analyze(args) -> int:
 def cmd_model_curve(args) -> int:
     if args.p_points < 1:
         raise ConfigError(f"--p-points must be >= 1, got {args.p_points}")
-    if args.p_min <= 0 or args.p_max < args.p_min:
-        raise ConfigError("need 0 < p-min <= p-max")
+    if not 0 < args.p_min <= args.p_max < math.inf:
+        raise ConfigError("need 0 < p-min <= p-max < inf")
     grid = np.linspace(args.p_min, args.p_max, args.p_points)
     rows = []
     for p in grid:

@@ -31,6 +31,8 @@ from .streams import map_chunks, point_rng
 RETRIEVAL_TIME_CONSTANT_US = 0.3
 RETRIEVAL_SHAPES = ("exponential", "flat")
 INPUT_PULSE_US = 1.0
+# largest t_max / bin_width: one histogram of it holds 8 MB of int64 counts
+MAX_BINS = 1_000_000
 
 # state used for storage-time scans; equal weight on both rails
 DECAY_SCAN_STATE = QubitAngles(math.pi / 4, 0.0)
@@ -87,6 +89,10 @@ class MemoryConfig:
             raise ConfigError("bin_width and t_max must be positive")
         if not _is_multiple(self.t_max, self.bin_width):
             raise ConfigError("bin_width must divide t_max")
+        if self.n_bins > MAX_BINS:
+            raise ConfigError(
+                f"t_max / bin_width gives {self.n_bins} bins, above the cap of {MAX_BINS}"
+            )
         if self.tau_coherence <= 0:
             raise ConfigError("tau_coherence must be positive")
         if self.retrieval_shape not in RETRIEVAL_SHAPES:

@@ -8,10 +8,10 @@ n_max gives closed-form detection probabilities, from which fidelity and
 signal-to-background ratio follow.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DataError, UndefinedRatioError
 from .streams import map_chunks, usable_cpus
@@ -31,8 +31,8 @@ class NoiseModelParams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise DataError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.p < 0 or self.q < 0:
-            raise DataError(f"photon means must be >= 0, got p={self.p}, q={self.q}")
+        if not (0 <= self.p < math.inf and 0 <= self.q < math.inf):
+            raise DataError(f"photon means must be finite and >= 0, got p={self.p}, q={self.q}")
         if self.n_max < 1:
             raise DataError(f"n_max must be >= 1, got {self.n_max}")
 
@@ -55,26 +55,55 @@ class DetectionProbs:
             raise DataError("detection probabilities sum above 1")
 
 
-def _poisson_pmf(k: np.ndarray, mean: float) -> np.ndarray:
-    """Poisson mass function evaluated in log space (stable for large k)."""
+# Cephes lgam: log sqrt(2 pi), and the Stirling-series coefficients for x < 1000
+_LS2PI = 0.91893853320467274178
+_A0, _A1, _A2, _A3, _A4 = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _log_factorial(k: int) -> float:
+    """ln k! for an integer k >= 0, bit for bit what scipy.special.gammaln(k + 1.0)
+    returns: the Stirling branches of Cephes lgam, with its own coefficients
+    and operation order.  Scalar math.log, so no SIMD dispatch enters."""
+    if k <= 11:  # lgam's x < 13 branch: the log of the exact product
+        return math.log(math.factorial(k))
+    x = k + 1.0
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + ((((_A0 * p + _A1) * p + _A2) * p + _A3) * p + _A4) / x
+
+
+def _poisson_pmf(k, mean: float, log_fact) -> np.ndarray:
+    """Poisson mass function evaluated in log space (stable for large k);
+    log_fact holds ln k! for each k."""
     k = np.asarray(k)
     if mean == 0.0:
         return np.where(k == 0, 1.0, 0.0)
-    return np.exp(k * np.log(mean) - mean - gammaln(k + 1.0))
+    return np.exp(k * np.log(mean) - mean - log_fact)
 
 
 def signal_term(n: int, params: NoiseModelParams) -> float:
     """Probability of the memory emitting exactly n signal photons."""
     if n < 0:
         raise DataError(f"n must be >= 0, got {n}")
-    return float(_poisson_pmf(n, params.signal_mean))
+    return float(_poisson_pmf(n, params.signal_mean, _log_factorial(n)))
 
 
 def background_term(m: int, params: NoiseModelParams) -> float:
     """Probability of exactly m background photons."""
     if m < 0:
         raise DataError(f"m must be >= 0, got {m}")
-    return float(_poisson_pmf(m, params.q))
+    return float(_poisson_pmf(m, params.q, _log_factorial(m)))
 
 
 def detection_probs(params: NoiseModelParams) -> DetectionProbs:
@@ -83,8 +112,9 @@ def detection_probs(params: NoiseModelParams) -> DetectionProbs:
     The no-photon term (n=0, m=0) contributes to neither probability.
     """
     ks = np.arange(params.n_max + 1)
-    ps = _poisson_pmf(ks, params.signal_mean)
-    pb = _poisson_pmf(ks, params.q)
+    log_fact = np.array([_log_factorial(k) for k in range(params.n_max + 1)])
+    ps = _poisson_pmf(ks, params.signal_mean, log_fact)
+    pb = _poisson_pmf(ks, params.q, log_fact)
     weight = np.outer(ps, pb)
     n_grid, m_grid = np.meshgrid(ks, ks, indexing="ij")
     tot = np.maximum(n_grid + m_grid, 1)  # (0,0) cell contributes 0 either way

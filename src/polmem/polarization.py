@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import read_csv, write_csv
-from .errors import DataError, DegenerateGeometryError, IllConditionedFitError
+from .errors import DataError, DegenerateGeometryError, FitError, IllConditionedFitError
 from .fitting import FitResult
 
 DOP_TOL = 1e-9
@@ -201,6 +201,9 @@ def fit_stokes(samples: list[PolarimetrySample]) -> tuple[StokesVector, FitResul
         residual_norm=residual_norm,
         n_points=len(samples),
     )
+    values = [*result.params.values(), *result.stderr.values(), residual_norm]
+    if not all(math.isfinite(v) for v in values):
+        raise FitError("fit overflowed: a Stokes component, stderr or residual is not finite")
     vec = StokesVector(*raw).normalize()
     return vec, result
 

@@ -220,6 +220,13 @@ def test_model_curve_q_zero_exit_2(tmp_path, capsys):
     assert "infinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--q", "inf"), ("--q", "nan"), ("--p-max", "inf")])
+def test_model_curve_non_finite_mean_exit_2(tmp_path, flag, value):
+    out = tmp_path / "c.json"
+    assert run("model-curve", flag, value, "--format", "json", "--out", out) == 2
+    assert not out.exists()
+
+
 def test_model_curve_bad_range_exit_2(tmp_path):
     assert run("model-curve", "--p-min", 2.0, "--p-max", 1.0,
                "--out", tmp_path / "c.csv") == 2
@@ -295,6 +302,17 @@ def test_fit_stokes_identifies_d_state(tmp_path, sym_cfg_path):
     assert s1 == pytest.approx(0.0, abs=1e-9)
     assert s3 == pytest.approx(0.0, abs=1e-9)
     assert s2 == pytest.approx(expected_dop, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the way to the overflow
+def test_fit_stokes_overflow_exit_3(tmp_path):
+    angles = [180.0 * i / 15 for i in range(16)]
+    rows = "".join(f"{a!r},{1e308 * (1 + 0.5 * math.sin(math.radians(a)))!r}\n" for a in angles)
+    samples = tmp_path / "huge.csv"
+    samples.write_text("qwp_angle_deg,intensity\n" + rows)
+    out = tmp_path / "fit.json"
+    assert run("fit", "--kind", "stokes", "--samples", samples, "--out", out) == 3
+    assert not out.exists()
 
 
 def test_fit_constant_series_exit_3(tmp_path):

@@ -2,7 +2,8 @@
 
 Every malformed input file ends the CLI with exit 2 and a message naming the
 file (for a CSV also the line, and the field when one field fails), never
-with a traceback.  The package's import graph has no cycle.
+with a traceback.  The package's import graph has no cycle, and importing it
+loads no scipy.
 """
 
 import ast
@@ -10,6 +11,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +106,28 @@ def test_malformed_histogram_exit_2(inputs, tmp_path, capsys, case):
     assert str(bad) in capsys.readouterr().err
 
 
+ANALYSIS_CASES = {  # a valid file for state H edited so that analysing it fails
+    "subnormal-bin-width": ("storage_h", _replace("bin_width_us", lambda w: 1e-320)),
+    "empty-background-window": (  # bins 120-139 are the 6-7 us background window
+        "storage_h", _replace("counts", lambda c: c[:120] + [0] * 20 + c[140:])),
+    "seven-angle-sweep": ("stokes_h", lambda lines: lines[:8]),
+}
+
+
+@pytest.mark.parametrize("case", ANALYSIS_CASES)
+def test_analyze_error_names_state_and_file(inputs, tmp_path, capsys, case):
+    role, edit = ANALYSIS_CASES[case]
+    if role == "storage_h":
+        bad = _write(tmp_path / "bad.json", edit(json.loads((inputs / "st_H.json").read_text())))
+        what = "storage histogram"
+    else:
+        lines = (inputs / "sw_H.csv").read_text().splitlines(keepends=True)
+        bad = _write(tmp_path / "bad.csv", "".join(edit(lines)))
+        what = "polarimetry sweep"
+    assert _analyze(inputs, **{role: bad}) == 2
+    assert f"{what} for H ({bad})" in capsys.readouterr().err
+
+
 def _check_csv_rejected(tmp_path, capsys, kind, flag, body, line, field):
     """`fit --kind kind` exits 2 on the CSV body, naming the file, line and field."""
     bad = _write(tmp_path / "bad.csv", body)
@@ -143,6 +169,7 @@ CONFIG_CASES = {  # body, what the message must name (a command reads one config
     "not-utf8": (b'{"p_in": "\xff"}', "cfg.json"),
     "int-beyond-float": ('{"p_in": 1' + "0" * 400 + "}", "p_in"),
     "t_max-over-bin_width-overflows": ('{"t_max": 1e308, "bin_width": 1e-10}', "t_max"),
+    "bins-above-cap": ('{"t_max": 1e20}', "bins"),
 }
 
 
@@ -227,6 +254,16 @@ def test_any_polarimetry_csv_never_raises(inputs, content, analyze):
 
 
 # ------------------------------------------------------------ import graph
+
+
+def test_import_loads_no_scipy():
+    """The runtime needs numpy only: scipy is a test-time oracle."""
+    code = ("import sys, polmem, polmem.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_import_graph_is_acyclic():

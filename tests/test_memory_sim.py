@@ -15,6 +15,7 @@ from polmem.errors import ConfigError, DataError
 from polmem.memory_sim import (
     DECAY_SCAN_STATE,
     INPUT_PULSE_US,
+    MAX_BINS,
     ArrivalHistogram,
     MemoryConfig,
     SweepSeries,
@@ -73,6 +74,7 @@ def test_config_defaults_are_valid():
     assert cfg.signal_mean(H) == pytest.approx(0.079 * 1.6)
     assert cfg.signal_mean(V) == pytest.approx(0.053 * 1.6)
     assert cfg.background_mean() == pytest.approx(0.005)
+    assert MemoryConfig(t_max=MAX_BINS * 0.05).n_bins == MAX_BINS  # the cap itself is allowed
 
 
 @pytest.mark.parametrize(
@@ -92,6 +94,7 @@ def test_config_defaults_are_valid():
         dict(bg_window_start=3.0, bg_window_end=4.0),  # overlaps ROI
         dict(tau_coherence=0.0),
         dict(retrieval_shape="gaussian"),
+        dict(t_max=50_000.05),  # one bin above MAX_BINS
     ],
 )
 def test_config_validation(kwargs):

@@ -22,6 +22,7 @@ from polmem.noise_model import (
     DEFAULT_N_MAX,
     DetectionProbs,
     NoiseModelParams,
+    _log_factorial,
     background_term,
     detection_probs,
     fidelity_sbr_curve,
@@ -66,6 +67,9 @@ def test_params_validation():
         NoiseModelParams(eta=0.5, p=-1.0, q=0.0)
     with pytest.raises(DataError):
         NoiseModelParams(eta=0.5, p=1.0, q=0.0, n_max=0)
+    for p, q in ((math.inf, 0.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(DataError):
+            NoiseModelParams(eta=0.5, p=p, q=q)
     assert NoiseModelParams(eta=0.5, p=2.0, q=0.1).signal_mean == 1.0
 
 
@@ -74,6 +78,16 @@ def test_detection_probs_validation():
         DetectionProbs(-0.1, 0.0)
     with pytest.raises(DataError):
         DetectionProbs(0.7, 0.7)
+
+
+def test_log_factorial_matches_scipy_gammaln_bit_for_bit():
+    # every branch of Cephes lgam: k <= 11, the polynomial below x = 1000, the
+    # short series from there, and the bare Stirling term above x = 1e8
+    from scipy.special import gammaln
+
+    ks = [*range(2001), 10**5, 10**8 - 1, 10**8, 10**9, 10**12]
+    expected = gammaln(np.array(ks, dtype=float) + 1.0).tolist()
+    assert [_log_factorial(k) for k in ks] == expected
 
 
 def test_single_terms_match_poisson_pmf():
