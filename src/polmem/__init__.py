@@ -21,12 +21,10 @@ from .fitting import FitResult
 from .polarization import (
     CANONICAL_STATES,
     STATE_NAMES,
-    PolarimetrySample,
     QubitAngles,
     Rotation3,
     StokesVector,
     apply_rotation,
-    degree_of_polarization,
     fidelity,
     fit_rotation,
     fit_stokes,

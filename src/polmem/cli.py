@@ -38,7 +38,6 @@ from .noise_model import NoiseModelParams, model_fidelity, model_sbr
 from .polarization import (
     CANONICAL_STATES,
     STATE_NAMES,
-    PolarimetrySample,
     fit_stokes,
     read_polarimetry_csv,
     write_polarimetry_csv,
@@ -119,8 +118,7 @@ def cmd_simulate(args) -> int:
             config, _state(args.state), angles, args.trials, args.seed,
             noiseless=args.noiseless,
         )
-        samples = [PolarimetrySample(a, y) for a, y in zip(sweep.x, sweep.y)]
-        write_polarimetry_csv(args.out, samples)
+        write_polarimetry_csv(args.out, sweep)
     elif args.kind == "decay":
         if not args.times:
             raise ConfigError("--kind decay requires --times")
@@ -169,12 +167,11 @@ def cmd_analyze(args) -> int:
     reference = ArrivalHistogram.load(args.reference)
     measured = {}
     for name, path in _parse_state_paths(args.stokes, "--stokes").items():
-        samples = read_polarimetry_csv(path)
+        sweep = read_polarimetry_csv(path)
         try:
-            vec, _ = fit_stokes(samples)
+            measured[name], _ = fit_stokes(sweep)
         except (DataError, FitError) as exc:
             raise type(exc)(f"polarimetry sweep for {name} ({path}): {exc}") from exc
-        measured[name] = vec.normalize()
     report = build_report(storage, reference, roi, bg, measured)
     write_text(args.out, _json_text(report.to_json()))
     print(report.to_text())
@@ -217,7 +214,7 @@ def cmd_fit(args) -> int:
         )
     else:  # stokes always emits JSON (structured Stokes payload)
         vec, result = fit_stokes(read_polarimetry_csv(args.samples))
-        extra = {"stokes": vec.to_json(), "stokes_normalized": vec.normalize().to_json()}
+        extra = {"stokes_normalized": vec.to_json()}
     if args.format == "csv" and args.kind != "stokes":
         lines = ["param,value,stderr"]
         lines += [f"{k},{v!r},{result.stderr[k]!r}" for k, v in result.params.items()]

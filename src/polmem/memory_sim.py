@@ -11,6 +11,7 @@ All entry points are deterministic functions of their seed, independent of
 worker count (see streams.py).
 """
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, asdict, fields
@@ -26,13 +27,15 @@ from .polarization import (
     qwp_polarimeter_intensity,
     stokes_from_qubit,
 )
-from .streams import map_chunks, point_rng
+from .streams import CHUNK_TRIALS, map_chunks, point_rng
 
 RETRIEVAL_TIME_CONSTANT_US = 0.3
 RETRIEVAL_SHAPES = ("exponential", "flat")
 INPUT_PULSE_US = 1.0
 # largest t_max / bin_width: one histogram of it holds 8 MB of int64 counts
 MAX_BINS = 1_000_000
+# largest mean numpy's Poisson sampler accepts: INT64_MAX - 10 * sqrt(INT64_MAX)
+POISSON_MEAN_MAX = 2.0**63 - 10 * math.sqrt(2.0**63)
 
 # state used for storage-time scans; equal weight on both rails
 DECAY_SCAN_STATE = QubitAngles(math.pi / 4, 0.0)
@@ -147,6 +150,15 @@ class MemoryConfig:
         return cls.from_json(read_json(path, ConfigError))
 
 
+def _check_poisson_mean(what: str, rate: float, pulses: int) -> None:
+    """Refuse a draw of mean rate * pulses that numpy's Poisson sampler cannot take."""
+    with contextlib.suppress(OverflowError):  # pulses beyond the float range
+        if rate * pulses <= POISSON_MEAN_MAX:
+            return
+    raise ConfigError(f"{what} of {rate:.6g} per pulse over {pulses} pulses is a Poisson mean "
+                      f"above numpy's limit of {POISSON_MEAN_MAX:.6g}")
+
+
 def retrieved_stokes(config: MemoryConfig, state: QubitAngles) -> StokesVector:
     """Normalized Stokes vector of the retrieved signal field.
 
@@ -211,6 +223,9 @@ def simulate_histogram(
     # background is uniform over the control-on span [roi_start, t_max]
     bg_span = config.t_max - config.roi_start
     bg_total_mean = bg_roi_mean * bg_span / config.roi_duration
+    chunk = min(trials, CHUNK_TRIALS)
+    _check_poisson_mean("signal mean (chain * eta * p_in)", sig_mean, chunk)
+    _check_poisson_mean("background mean (bg_rate + tech_rate)", bg_total_mean, chunk)
 
     def run(rng, size):
         n_sig = rng.poisson(sig_mean * size) if sig_mean > 0 else 0
@@ -232,6 +247,7 @@ def simulate_reference(
         raise ConfigError(f"trials must be >= 1, got {trials}")
     mean = config.chain * config.p_in
     width = min(INPUT_PULSE_US, config.t_max)
+    _check_poisson_mean("input mean (chain * p_in)", mean, min(trials, CHUNK_TRIALS))
 
     def run(rng, size):
         n = rng.poisson(mean * size) if mean > 0 else 0
@@ -264,16 +280,13 @@ def simulate_polarimetry_sweep(
     sig_mean = config.signal_mean(state)
     bg_mean = 0.5 * config.background_mean()
 
-    y = np.empty(len(angles))
-    y_err = np.zeros(len(angles))
-    for i, ang in enumerate(angles):
-        mean = sig_mean * qwp_polarimeter_intensity(s_ret, ang) + bg_mean
-        if noiseless:
-            y[i] = mean
-        else:
-            counts = point_rng(seed, i).poisson(mean * trials_per_angle)
-            y[i] = counts / trials_per_angle
-            y_err[i] = math.sqrt(counts) / trials_per_angle
+    means = [sig_mean * qwp_polarimeter_intensity(s_ret, ang) + bg_mean for ang in angles]
+    y, y_err = np.array(means), np.zeros(len(angles))
+    if not noiseless:
+        _check_poisson_mean("ROI mean (signal + background)", max(means), trials_per_angle)
+        draws = [point_rng(seed, i).poisson(m * trials_per_angle) for i, m in enumerate(means)]
+        counts = np.array(draws)
+        y, y_err = counts / trials_per_angle, np.sqrt(counts) / trials_per_angle
     return SweepSeries(angles, y, y_err, "qwp_angle_rad", "counts_per_pulse")
 
 
@@ -333,13 +346,15 @@ def simulate_background_sweep(
     if trials < 1:
         raise ConfigError("trials must be >= 1")
 
+    bg_means = [config.tech_rate * power + config.bg_rate * math.sqrt(power) for power in p]
+    _check_poisson_mean("background mean", max(bg_means, default=0.0), trials)
+
     bg_y = np.empty(len(p))
     bg_err = np.empty(len(p))
     tech_y = np.empty(len(p))
     tech_err = np.empty(len(p))
-    for i, power in enumerate(p):
+    for i, (power, bg_mean) in enumerate(zip(p, bg_means)):
         rng = point_rng(seed, i)
-        bg_mean = config.tech_rate * power + config.bg_rate * math.sqrt(power)
         tech_mean = config.tech_rate * power
         c_bg = rng.poisson(bg_mean * trials) if bg_mean > 0 else 0
         c_tech = rng.poisson(tech_mean * trials) if tech_mean > 0 else 0

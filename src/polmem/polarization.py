@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_csv, write_csv
+from .data import SweepSeries, read_csv, write_csv
 from .errors import DataError, DegenerateGeometryError, FitError, IllConditionedFitError
 from .fitting import FitResult
 
@@ -96,18 +96,6 @@ CANONICAL_STATES: dict[str, QubitAngles] = {
 }
 
 
-@dataclass(frozen=True)
-class PolarimetrySample:
-    """One polarimeter reading: plate angle (rad) and mean counts per pulse."""
-
-    qwp_angle: float
-    intensity: float
-
-    def __post_init__(self):
-        if self.intensity < 0:
-            raise DataError(f"intensity must be >= 0, got {self.intensity}")
-
-
 def stokes_from_qubit(angles: QubitAngles) -> StokesVector:
     """Stokes vector of the pure qubit with the given angles (unit s0 and DOP)."""
     two_t = 2.0 * angles.theta
@@ -143,21 +131,26 @@ def _design_matrix(angles: np.ndarray) -> np.ndarray:
     )
 
 
-def fit_stokes(samples: list[PolarimetrySample]) -> tuple[StokesVector, FitResult]:
+def _check_intensities(intens: np.ndarray) -> None:
+    if (negative := intens[intens < 0]).size:
+        raise DataError(f"intensity must be >= 0, got {float(negative[0])}")
+
+
+def fit_stokes(sweep: SweepSeries) -> tuple[StokesVector, FitResult]:
     """Recover a Stokes vector from a rotating-plate intensity sweep.
 
     Linear least squares on {1, sin 2t, cos 4t, sin 4t} inverts the
-    coefficient map of qwp_polarimeter_intensity.  Needs at least 8 samples
-    spanning at least half a turn of the plate.
+    coefficient map of qwp_polarimeter_intensity.  Needs at least 8 plate
+    angles (sweep.x, rad) spanning half a turn; sweep.y holds intensities.
 
     Returns the normalized Stokes vector together with a FitResult whose
     params hold the raw (per-pulse) components and whose stderr entries for
     s1..s3 refer to the normalized components (delta method for the ratio).
     """
-    if len(samples) < 8:
-        raise DataError(f"need at least 8 samples, got {len(samples)}")
-    angles = np.array([p.qwp_angle for p in samples], dtype=float)
-    intens = np.array([p.intensity for p in samples], dtype=float)
+    if len(sweep) < 8:
+        raise DataError(f"need at least 8 samples, got {len(sweep)}")
+    angles, intens = sweep.x, sweep.y
+    _check_intensities(intens)
     if angles.max() - angles.min() < math.pi * (1 - 1e-9):
         raise DataError("samples must span at least 180 degrees of plate rotation")
 
@@ -175,7 +168,7 @@ def fit_stokes(samples: list[PolarimetrySample]) -> tuple[StokesVector, FitResul
 
     resid = intens - X @ coef
     residual_norm = float(np.linalg.norm(resid))
-    dof = len(samples) - 4
+    dof = len(sweep) - 4
     sigma2 = residual_norm**2 / dof if dof > 0 else 0.0
     cov_coef = sigma2 * np.linalg.inv(X.T @ X)
     # raw stokes is a linear map L of the basis coefficients
@@ -199,7 +192,7 @@ def fit_stokes(samples: list[PolarimetrySample]) -> tuple[StokesVector, FitResul
         params={"s0": raw[0], "s1": raw[1], "s2": raw[2], "s3": raw[3]},
         stderr={"s0": math.sqrt(max(cov_raw[0, 0], 0.0)), **norm_err},
         residual_norm=residual_norm,
-        n_points=len(samples),
+        n_points=len(sweep),
     )
     values = [*result.params.values(), *result.stderr.values(), residual_norm]
     if not all(math.isfinite(v) for v in values):
@@ -250,9 +243,6 @@ class Rotation3:
         k = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
         return cls(np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k))
 
-    def __matmul__(self, other: "Rotation3") -> "Rotation3":
-        return Rotation3(self.matrix @ other.matrix)
-
 
 def apply_rotation(r: Rotation3, s: StokesVector) -> StokesVector:
     """Rotate the 3-vector part of s; s0 is untouched."""
@@ -283,21 +273,17 @@ def fit_rotation(inputs: list[StokesVector], targets: list[StokesVector]) -> Rot
     return Rotation3(r)
 
 
-def degree_of_polarization(s: StokesVector) -> float:
-    """Length of the normalized 3-vector part: 1 pure, 0 unpolarized."""
-    return s.dop
+def write_polarimetry_csv(path, sweep: SweepSeries) -> None:
+    """Write a sweep as CSV with header qwp_angle_deg,intensity (angles in degrees)."""
+    write_csv(path, _POLARIMETRY_HEADER, zip(np.degrees(sweep.x), sweep.y))
 
 
-def write_polarimetry_csv(path, samples: list[PolarimetrySample]) -> None:
-    """Write a sweep as CSV with header qwp_angle_deg,intensity."""
-    rows = [(math.degrees(p.qwp_angle), p.intensity) for p in samples]
-    write_csv(path, _POLARIMETRY_HEADER, rows)
-
-
-def read_polarimetry_csv(path) -> list[PolarimetrySample]:
-    """Read a sweep written by write_polarimetry_csv."""
+def read_polarimetry_csv(path) -> SweepSeries:
+    """Read a sweep written by write_polarimetry_csv: angles in radians, zero y_err."""
     _, body = read_csv(path, _POLARIMETRY_HEADER)
     try:
-        return [PolarimetrySample(math.radians(a), i) for a, i in body.tolist()]
+        _check_intensities(body[:, 1])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    angles, intens = np.radians(body[:, 0]), body[:, 1]
+    return SweepSeries(angles, intens, np.zeros(len(body)), "qwp_angle_rad", "counts_per_pulse")

@@ -20,7 +20,6 @@ from polmem.noise_model import NoiseModelParams, detection_probs, mc_detection_o
 from polmem.polarization import (
     CANONICAL_STATES,
     STATE_NAMES,
-    PolarimetrySample,
     QubitAngles,
     Rotation3,
     StokesVector,
@@ -115,10 +114,7 @@ def test_criterion_3_six_state_benchmark():
         sweep = pm.simulate_polarimetry_sweep(
             cfg, state, angles, trials // len(angles), 321 + i
         )
-        vec, _ = fit_stokes(
-            [PolarimetrySample(a, y) for a, y in zip(sweep.x, sweep.y)]
-        )
-        measured[name] = vec
+        measured[name], _ = fit_stokes(sweep)
     roi = pm.Window(cfg.roi_start, cfg.roi_end)
     bg = pm.Window(cfg.bg_window_start, cfg.bg_window_end)
     report = pm.build_report(storage, reference, roi, bg, measured)
@@ -197,10 +193,8 @@ def test_criterion_7_polarimetry_round_trip():
     for _ in range(100):
         vec3 = _random_pure(rng) * rng.random() ** (1 / 3)
         s = StokesVector(1.0, *vec3)
-        samples = [
-            PolarimetrySample(a, qwp_polarimeter_intensity(s, a)) for a in angles
-        ]
-        got, _ = fit_stokes(samples)
+        intens = [qwp_polarimeter_intensity(s, a) for a in angles]
+        got, _ = fit_stokes(SweepSeries(angles, intens, np.zeros(len(angles))))
         worst = max(worst, float(np.max(np.abs(got.as_array() - s.as_array()))))
     assert worst <= 1e-9, f"noiseless round-trip error {worst}"
 
@@ -210,13 +204,10 @@ def test_criterion_7_polarimetry_round_trip():
     for k in range(25):
         s = StokesVector(1.0, *_random_pure(rng))
         scaled = StokesVector(level, *(level * s.vec3))
-        samples = [
-            PolarimetrySample(
-                a, rng.poisson(pulses * qwp_polarimeter_intensity(scaled, a)) / pulses
-            )
-            for a in angles
+        intens = [
+            rng.poisson(pulses * qwp_polarimeter_intensity(scaled, a)) / pulses for a in angles
         ]
-        got, fit = fit_stokes(samples)
+        got, fit = fit_stokes(SweepSeries(angles, intens, np.zeros(len(angles))))
         for key, truth in zip(("s1", "s2", "s3"), s.vec3):
             z = abs(getattr(got, key) - truth) / fit.stderr[key]
             worst_z = max(worst_z, z)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from polmem.memory_sim import SweepSeries
 from polmem.polarization import read_polarimetry_csv, write_polarimetry_csv
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -103,8 +105,8 @@ def test_simulate_polarimetry_kind_round_trips(tmp_path, sym_cfg_path):
     assert run("simulate", "--config", sym_cfg_path, "--kind", "polarimetry",
                "--state", "D", "--trials", 10_000, "--seed", 3,
                "--noiseless", "--out", out) == 0
-    samples = read_polarimetry_csv(out)
-    assert len(samples) == 16
+    sweep = read_polarimetry_csv(out)
+    assert len(sweep) == 16
 
 
 def test_simulate_decay_and_background_kinds(tmp_path, cfg_path):
@@ -149,10 +151,7 @@ def _write_analyze_inputs(tmp_path, cfg):
         sweep = pm.simulate_polarimetry_sweep(
             cfg, pm.CANONICAL_STATES[s], np.linspace(0, math.pi, 16), 50_000, 921 + i
         )
-        samples = [
-            pm.PolarimetrySample(a, y) for a, y in zip(sweep.x, sweep.y)
-        ]
-        write_polarimetry_csv(tmp_path / f"sw_{s}.csv", samples)
+        write_polarimetry_csv(tmp_path / f"sw_{s}.csv", sweep)
         args += ["--storage", f"{s}={tmp_path / f'st_{s}.json'}",
                  "--stokes", f"{s}={tmp_path / f'sw_{s}.csv'}"]
     return args
@@ -304,6 +303,19 @@ def test_fit_stokes_identifies_d_state(tmp_path, sym_cfg_path):
     assert s2 == pytest.approx(expected_dop, abs=1e-9)
 
 
+def test_fit_stokes_json_keys(tmp_path, sym_cfg_path):
+    sweep = tmp_path / "sweep.csv"
+    assert run("simulate", "--config", sym_cfg_path, "--kind", "polarimetry",
+               "--state", "D", "--trials", 1000, "--seed", 31, "--out", sweep) == 0
+    out = tmp_path / "fit.json"
+    assert run("fit", "--kind", "stokes", "--samples", sweep, "--out", out) == 0
+    result = json.loads(out.read_text())
+    assert set(result) == {"params", "stderr", "residual_norm", "n_points", "stokes_normalized"}
+    assert set(result["params"]) == set(result["stderr"]) == {"s0", "s1", "s2", "s3"}
+    raw = [result["params"][k] for k in ("s0", "s1", "s2", "s3")]
+    assert result["stokes_normalized"] == [1.0, *(v / raw[0] for v in raw[1:])]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the way to the overflow
 def test_fit_stokes_overflow_exit_3(tmp_path):
     angles = [180.0 * i / 15 for i in range(16)]
@@ -358,6 +370,29 @@ def test_simulate_out_of_range_integer_flags_exit_2(tmp_path, cfg_path, capsys, 
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "h.json").exists()
+
+
+@pytest.mark.parametrize("kind,config,flags", [
+    ("histogram", {"bg_rate": 1e300}, ["--state", "H", "--trials", 1000]),
+    ("reference", {"p_in": 1e300}, ["--trials", 1000]),
+    ("polarimetry", {}, ["--state", "D", "--trials", 10**21]),
+    ("background", {"bg_rate": 1e300}, ["--powers", "1,2", "--trials", 1000]),
+])
+def test_simulate_above_poisson_limit_exit_2(tmp_path, capsys, kind, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run("simulate", "--config", cfg, "--kind", kind, "--seed", 1, *flags,
+               "--out", out) == 2
+    assert "above numpy's limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_version_flag(capsys):

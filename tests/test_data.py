@@ -41,8 +41,7 @@ def inputs(tmp_path_factory):
         hist.save(d / f"st_{s}.json")
         angles = np.linspace(0, math.pi, 16)
         sweep = pm.simulate_polarimetry_sweep(cfg, state, angles, 5_000, 20 + i)
-        samples = [pm.PolarimetrySample(a, y) for a, y in zip(sweep.x, sweep.y)]
-        write_polarimetry_csv(d / f"sw_{s}.csv", samples)
+        write_polarimetry_csv(d / f"sw_{s}.csv", sweep)
     pm.SweepSeries([0.0, 5.0, 10.0], [0.05, 0.04, 0.03], [0.001] * 3).save_csv(d / "decay.csv")
     return d
 

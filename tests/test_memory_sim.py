@@ -16,9 +16,11 @@ from polmem.memory_sim import (
     DECAY_SCAN_STATE,
     INPUT_PULSE_US,
     MAX_BINS,
+    POISSON_MEAN_MAX,
     ArrivalHistogram,
     MemoryConfig,
     SweepSeries,
+    _check_poisson_mean,
     retrieved_stokes,
     simulate_background_sweep,
     simulate_decay_series,
@@ -28,7 +30,6 @@ from polmem.memory_sim import (
 )
 from polmem.polarization import (
     CANONICAL_STATES,
-    PolarimetrySample,
     QubitAngles,
     fit_stokes,
     qwp_polarimeter_intensity,
@@ -245,6 +246,18 @@ def test_simulate_histogram_rejects_bad_trials():
         simulate_histogram(MemoryConfig(), H, None, 0, 1)
 
 
+def test_poisson_mean_limit_is_numpys():
+    rng = np.random.default_rng(0)
+    rng.poisson(POISSON_MEAN_MAX)
+    _check_poisson_mean("mean", POISSON_MEAN_MAX, 1)
+    above = float(np.nextafter(POISSON_MEAN_MAX, math.inf))
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(above)
+    for rate, pulses in ((above, 1), (float("nan"), 1), (0.5, 10**400)):
+        with pytest.raises(ConfigError, match="mean of"):
+            _check_poisson_mean("mean", rate, pulses)
+
+
 # -------------------------------------------------------------- reference
 
 
@@ -291,9 +304,7 @@ def test_sweep_fit_recovers_diluted_d_state():
     trials = 300_000
     angles = np.linspace(0, math.pi, 16)
     sweep = simulate_polarimetry_sweep(cfg, D, angles, trials, 63)
-    vec, fit = fit_stokes(
-        [PolarimetrySample(a, y) for a, y in zip(sweep.x, sweep.y)]
-    )
+    vec, fit = fit_stokes(sweep)
     p_sig = cfg.signal_mean(D)
     p_bg = cfg.background_mean()
     expected_dop = p_sig / (p_sig + p_bg)

@@ -12,16 +12,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from polmem.data import SweepSeries
 from polmem.errors import DataError, DegenerateGeometryError, IllConditionedFitError
 from polmem.polarization import (
     CANONICAL_STATES,
     STATE_NAMES,
-    PolarimetrySample,
     QubitAngles,
     Rotation3,
     StokesVector,
     apply_rotation,
-    degree_of_polarization,
     fidelity,
     fit_rotation,
     fit_stokes,
@@ -109,7 +108,7 @@ def test_stokes_vector_basics():
     assert_allclose(n.vec3, [0.5, 0.5, 0.0])
     assert s.is_physical()
     assert not StokesVector(1.0, 1.0, 1.0, 0.0).is_physical()
-    assert degree_of_polarization(StokesVector(1, 0, 0, 0)) == 0.0
+    assert StokesVector(1, 0, 0, 0).dop == 0.0
 
 
 def test_stokes_vector_rejects_nonpositive_s0():
@@ -135,11 +134,6 @@ def test_qubit_angle_ranges():
         QubitAngles(math.pi / 2 + 0.1, 0.0)
     with pytest.raises(DataError):
         QubitAngles(0.3, math.pi)  # phi interval is [-pi, pi)
-
-
-def test_polarimetry_sample_rejects_negative_intensity():
-    with pytest.raises(DataError):
-        PolarimetrySample(0.0, -1e-6)
 
 
 # -------------------------------------------------- qubit -> Stokes map
@@ -211,8 +205,12 @@ def test_intensity_nonnegative_for_physical_states():
 # ------------------------------------------------------------ fit_stokes
 
 
+def polarimetry_sweep(angles, intens):
+    return SweepSeries(angles, intens, np.zeros(len(angles)))
+
+
 def sweep_samples(s, angles):
-    return [PolarimetrySample(a, qwp_polarimeter_intensity(s, a)) for a in angles]
+    return polarimetry_sweep(angles, [qwp_polarimeter_intensity(s, a) for a in angles])
 
 
 def test_fit_stokes_noiseless_round_trip():
@@ -245,13 +243,10 @@ def test_fit_stokes_poisson_noise_within_three_sigma():
     for _ in range(40):
         s = random_physical(rng, pure=True)
         scaled = StokesVector(level, *(level * s.vec3))
-        samples = [
-            PolarimetrySample(
-                a, rng.poisson(pulses * qwp_polarimeter_intensity(scaled, a)) / pulses
-            )
-            for a in angles
+        intens = [
+            rng.poisson(pulses * qwp_polarimeter_intensity(scaled, a)) / pulses for a in angles
         ]
-        vec, fit = fit_stokes(samples)
+        vec, fit = fit_stokes(polarimetry_sweep(angles, intens))
         for key, truth in zip(("s1", "s2", "s3"), s.vec3):
             err = fit.stderr[key]
             assert err > 0
@@ -267,6 +262,13 @@ def test_fit_stokes_requires_enough_samples_and_span():
         fit_stokes(sweep_samples(s, np.linspace(0, math.pi, 7)))
     with pytest.raises(DataError):
         fit_stokes(sweep_samples(s, np.linspace(0, 0.9 * math.pi, 12)))
+
+
+def test_fit_stokes_rejects_negative_intensity():
+    sweep = sweep_samples(stokes_from_qubit(CANONICAL_STATES["H"]), np.linspace(0, math.pi, 16))
+    sweep.y[3] = -1e-6
+    with pytest.raises(DataError, match="intensity must be >= 0"):
+        fit_stokes(sweep)
 
 
 def test_fit_stokes_degenerate_angles_rejected():
@@ -403,19 +405,25 @@ def test_fit_rotation_degenerate_inputs():
 
 def test_polarimetry_csv_round_trip(tmp_path):
     rng = np.random.default_rng(12)
-    samples = [
-        PolarimetrySample(a, float(rng.random()))
-        for a in np.linspace(0, math.pi, 16)
-    ]
+    angles = np.linspace(0, math.pi, 16)
+    sweep = polarimetry_sweep(angles, rng.random(16))
     path = tmp_path / "sweep.csv"
-    write_polarimetry_csv(path, samples)
+    write_polarimetry_csv(path, sweep)
     back = read_polarimetry_csv(path)
-    assert len(back) == len(samples)
-    for orig, rec in zip(samples, back):
-        assert math.isclose(orig.qwp_angle, rec.qwp_angle, abs_tol=1e-15)
-        assert orig.intensity == rec.intensity
+    assert len(back) == len(sweep)
+    for orig_a, orig_i, rec_a, rec_i in zip(sweep.x, sweep.y, back.x, back.y):
+        assert math.isclose(orig_a, rec_a, abs_tol=1e-15)
+        assert orig_i == rec_i
+    assert np.all(back.y_err == 0.0)
     header = path.read_text().splitlines()[0]
     assert header == "qwp_angle_deg,intensity"
+
+    # the byte format: degrees and intensities as repr(float), \r\n row ends
+    small = tmp_path / "small.csv"
+    write_polarimetry_csv(small, polarimetry_sweep([0.0, math.pi / 4, math.pi], [0.5, 0.25, 1e-3]))
+    assert small.read_bytes() == (
+        b"qwp_angle_deg,intensity\r\n0.0,0.5\r\n45.0,0.25\r\n180.0,0.001\r\n"
+    )
 
 
 def test_polarimetry_csv_rejects_bad_header(tmp_path):
