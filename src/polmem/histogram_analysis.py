@@ -12,7 +12,7 @@ estimators unbiased.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -195,40 +195,33 @@ class StateResult:
 
 @dataclass(frozen=True)
 class StorageReport:
-    """Per-state SBR / fidelity / efficiency plus averages with standard errors."""
+    """Per-state SBR / fidelity / efficiency; the average and standard error
+    of each follow from the states."""
 
     states: dict
-    average: dict
-    sem: dict
 
-    def __post_init__(self):
-        for key in ("sbr", "fidelity", "efficiency"):
-            vals = [getattr(self.states[n], key) for n in self.states]
-            if not math.isclose(self.average[key], float(np.mean(vals)), abs_tol=1e-12):
-                raise DataError(f"average {key} does not match the per-state mean")
+    def _columns(self) -> dict:
+        return {f.name: np.array([getattr(r, f.name) for r in self.states.values()])
+                for f in fields(StateResult)}
+
+    @property
+    def average(self) -> dict:
+        return {k: float(v.mean()) for k, v in self._columns().items()}
+
+    @property
+    def sem(self) -> dict:
+        return {k: float(v.std(ddof=1) / math.sqrt(len(v))) for k, v in self._columns().items()}
 
     def to_json(self) -> dict:
-        return {
-            "states": {
-                name: {"sbr": r.sbr, "fidelity": r.fidelity, "efficiency": r.efficiency}
-                for name, r in self.states.items()
-            },
-            "average": dict(self.average),
-            "sem": dict(self.sem),
-        }
+        states = {name: asdict(r) for name, r in self.states.items()}
+        return {"states": states, "average": self.average, "sem": self.sem}
 
     def to_text(self) -> str:
+        rows = [(name, asdict(r)) for name, r in self.states.items()]
+        rows += [("average", self.average), ("sem", self.sem)]
         lines = [f"{'state':<8}{'SBR':>8}{'fidelity':>10}{'efficiency':>12}"]
-        for name, r in self.states.items():
-            lines.append(f"{name:<8}{r.sbr:>8.3f}{r.fidelity:>10.4f}{r.efficiency:>12.4f}")
-        lines.append(
-            f"{'average':<8}{self.average['sbr']:>8.3f}"
-            f"{self.average['fidelity']:>10.4f}{self.average['efficiency']:>12.4f}"
-        )
-        lines.append(
-            f"{'sem':<8}{self.sem['sbr']:>8.3f}"
-            f"{self.sem['fidelity']:>10.4f}{self.sem['efficiency']:>12.4f}"
-        )
+        lines += [f"{name:<8}{v['sbr']:>8.3f}{v['fidelity']:>10.4f}{v['efficiency']:>12.4f}"
+                  for name, v in rows]
         return "\n".join(lines)
 
 
@@ -268,9 +261,4 @@ def build_report(
             efficiency=storage_efficiency(storage[name], reference, roi, bg),
         )
 
-    average, sem = {}, {}
-    for key in ("sbr", "fidelity", "efficiency"):
-        vals = np.array([getattr(states[s], key) for s in STATE_NAMES])
-        average[key] = float(vals.mean())
-        sem[key] = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    return StorageReport(states=states, average=average, sem=sem)
+    return StorageReport(states)

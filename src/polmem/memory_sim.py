@@ -11,7 +11,6 @@ All entry points are deterministic functions of their seed, independent of
 worker count (see streams.py).
 """
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass, asdict, fields
@@ -27,15 +26,13 @@ from .polarization import (
     qwp_polarimeter_intensity,
     stokes_from_qubit,
 )
-from .streams import CHUNK_TRIALS, map_chunks, point_rng
+from .streams import CHUNK_TRIALS, check_poisson_mean, map_chunks, point_rng
 
 RETRIEVAL_TIME_CONSTANT_US = 0.3
 RETRIEVAL_SHAPES = ("exponential", "flat")
 INPUT_PULSE_US = 1.0
 # largest t_max / bin_width: one histogram of it holds 8 MB of int64 counts
 MAX_BINS = 1_000_000
-# largest mean numpy's Poisson sampler accepts: INT64_MAX - 10 * sqrt(INT64_MAX)
-POISSON_MEAN_MAX = 2.0**63 - 10 * math.sqrt(2.0**63)
 
 # state used for storage-time scans; equal weight on both rails
 DECAY_SCAN_STATE = QubitAngles(math.pi / 4, 0.0)
@@ -150,13 +147,12 @@ class MemoryConfig:
         return cls.from_json(read_json(path, ConfigError))
 
 
-def _check_poisson_mean(what: str, rate: float, pulses: int) -> None:
-    """Refuse a draw of mean rate * pulses that numpy's Poisson sampler cannot take."""
-    with contextlib.suppress(OverflowError):  # pulses beyond the float range
-        if rate * pulses <= POISSON_MEAN_MAX:
-            return
-    raise ConfigError(f"{what} of {rate:.6g} per pulse over {pulses} pulses is a Poisson mean "
-                      f"above numpy's limit of {POISSON_MEAN_MAX:.6g}")
+def _increasing(what: str, values) -> np.ndarray:
+    """A sweep's abscissas as floats, refused unless finite, >= 0 and strictly increasing."""
+    x = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(x)) or np.any(x < 0) or np.any(np.diff(x) <= 0):
+        raise ConfigError(f"{what} must be finite, >= 0 and strictly increasing")
+    return x
 
 
 def retrieved_stokes(config: MemoryConfig, state: QubitAngles) -> StokesVector:
@@ -195,6 +191,25 @@ def _histogram(times: np.ndarray, config: MemoryConfig) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+def _simulate_arrivals(config, sources, trials, seed, workers, label) -> ArrivalHistogram:
+    """Histogram of `trials` pulses from independent Poisson sources.
+
+    Each source is (what, mean per pulse, times(rng, n)).  In every chunk the
+    sources draw in list order: first the chunk's Poisson total, then that
+    many arrival times.  A source of mean zero draws a zero total without
+    advancing the stream.
+    """
+    for what, mean, _ in sources:
+        check_poisson_mean(what, mean, min(trials, CHUNK_TRIALS))
+
+    def run(rng, size):
+        return sum(_histogram(times(rng, rng.poisson(mean * size)), config)
+                   for _, mean, times in sources)
+
+    counts = np.sum(map_chunks(run, trials, seed, workers), axis=0)
+    return ArrivalHistogram(0.0, config.bin_width, counts, trials, label)
+
+
 def simulate_histogram(
     config: MemoryConfig,
     state: QubitAngles,
@@ -213,48 +228,32 @@ def simulate_histogram(
     the (unpolarized) background by 1/2.  signal_scale is an extra
     multiplier on the retrieved-signal mean (used for storage-time scans).
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
     sig_mean = config.signal_mean(state) * signal_scale
     bg_roi_mean = config.background_mean()
     if analyzer is not None:
-        sig_mean *= qwp_polarimeter_intensity(retrieved_stokes(config, state), analyzer)
+        # rounding can leave a dark analyzer setting a hair below zero
+        sig_mean *= max(0.0, qwp_polarimeter_intensity(retrieved_stokes(config, state), analyzer))
         bg_roi_mean *= 0.5
     # background is uniform over the control-on span [roi_start, t_max]
     bg_span = config.t_max - config.roi_start
     bg_total_mean = bg_roi_mean * bg_span / config.roi_duration
-    chunk = min(trials, CHUNK_TRIALS)
-    _check_poisson_mean("signal mean (chain * eta * p_in)", sig_mean, chunk)
-    _check_poisson_mean("background mean (bg_rate + tech_rate)", bg_total_mean, chunk)
-
-    def run(rng, size):
-        n_sig = rng.poisson(sig_mean * size) if sig_mean > 0 else 0
-        t_sig = _signal_times(rng, n_sig, config)
-        n_bg = rng.poisson(bg_total_mean * size) if bg_total_mean > 0 else 0
-        t_bg = config.roi_start + bg_span * rng.random(n_bg)
-        return _histogram(t_sig, config) + _histogram(t_bg, config)
-
-    parts = map_chunks(run, trials, seed, workers)
-    counts = np.sum(parts, axis=0)
-    return ArrivalHistogram(0.0, config.bin_width, counts, trials, label)
+    sources = [
+        ("signal mean (chain * eta * p_in)", sig_mean,
+         lambda rng, n: _signal_times(rng, n, config)),
+        ("background mean (bg_rate + tech_rate)", bg_total_mean,
+         lambda rng, n: config.roi_start + bg_span * rng.random(n)),
+    ]
+    return _simulate_arrivals(config, sources, trials, seed, workers, label)
 
 
 def simulate_reference(
     config: MemoryConfig, trials: int, seed, workers: int = 1
 ) -> ArrivalHistogram:
     """Transmitted-probe histogram: the input pulse with no storage, no background."""
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    mean = config.chain * config.p_in
     width = min(INPUT_PULSE_US, config.t_max)
-    _check_poisson_mean("input mean (chain * p_in)", mean, min(trials, CHUNK_TRIALS))
-
-    def run(rng, size):
-        n = rng.poisson(mean * size) if mean > 0 else 0
-        return _histogram(width * rng.random(n), config)
-
-    parts = map_chunks(run, trials, seed, workers)
-    return ArrivalHistogram(0.0, config.bin_width, np.sum(parts, axis=0), trials, "reference")
+    sources = [("input mean (chain * p_in)", config.chain * config.p_in,
+                lambda rng, n: width * rng.random(n))]
+    return _simulate_arrivals(config, sources, trials, seed, workers, "reference")
 
 
 def simulate_polarimetry_sweep(
@@ -283,8 +282,9 @@ def simulate_polarimetry_sweep(
     means = [sig_mean * qwp_polarimeter_intensity(s_ret, ang) + bg_mean for ang in angles]
     y, y_err = np.array(means), np.zeros(len(angles))
     if not noiseless:
-        _check_poisson_mean("ROI mean (signal + background)", max(means), trials_per_angle)
-        draws = [point_rng(seed, i).poisson(m * trials_per_angle) for i, m in enumerate(means)]
+        check_poisson_mean("ROI mean (signal + background)", max(means), trials_per_angle)
+        draws = [point_rng(seed, i).poisson(max(0.0, m) * trials_per_angle)
+                 for i, m in enumerate(means)]
         counts = np.array(draws)
         y, y_err = counts / trials_per_angle, np.sqrt(counts) / trials_per_angle
     return SweepSeries(angles, y, y_err, "qwp_angle_rad", "counts_per_pulse")
@@ -299,11 +299,7 @@ def simulate_decay_series(
     is analyzed with the standard window procedure against a simulated
     reference run.
     """
-    times = np.asarray(storage_times, dtype=float)
-    if np.any(times < 0):
-        raise ConfigError("storage times must be >= 0")
-    if len(times) > 1 and np.any(np.diff(times) <= 0):
-        raise ConfigError("storage times must be strictly increasing")
+    times = _increasing("storage times", storage_times)
 
     roi = Window(config.roi_start, config.roi_end)
     bg = Window(config.bg_window_start, config.bg_window_end)
@@ -338,30 +334,20 @@ def simulate_background_sweep(
     growing as sqrt(power); the technical series is measured cell-out, with
     leakage only.  Coefficients come from tech_rate and bg_rate.
     """
-    p = np.asarray(powers, dtype=float)
-    if np.any(p < 0):
-        raise ConfigError("powers must be >= 0")
-    if len(p) > 1 and np.any(np.diff(p) <= 0):
-        raise ConfigError("powers must be strictly increasing")
+    p = _increasing("powers", powers)
     if trials < 1:
         raise ConfigError("trials must be >= 1")
 
     bg_means = [config.tech_rate * power + config.bg_rate * math.sqrt(power) for power in p]
-    _check_poisson_mean("background mean", max(bg_means, default=0.0), trials)
+    check_poisson_mean("background mean", max(bg_means, default=0.0), trials)
 
-    bg_y = np.empty(len(p))
-    bg_err = np.empty(len(p))
-    tech_y = np.empty(len(p))
-    tech_err = np.empty(len(p))
-    for i, (power, bg_mean) in enumerate(zip(p, bg_means)):
-        rng = point_rng(seed, i)
-        tech_mean = config.tech_rate * power
-        c_bg = rng.poisson(bg_mean * trials) if bg_mean > 0 else 0
-        c_tech = rng.poisson(tech_mean * trials) if tech_mean > 0 else 0
-        bg_y[i] = c_bg / trials
-        bg_err[i] = math.sqrt(c_bg) / trials
-        tech_y[i] = c_tech / trials
-        tech_err[i] = math.sqrt(c_tech) / trials
-    background = SweepSeries(p, bg_y, bg_err, "control_power", "counts_per_pulse")
-    technical = SweepSeries(p, tech_y, tech_err, "control_power", "counts_per_pulse")
-    return background, technical
+    # per point, the background total and then the technical one from one stream
+    rngs = [point_rng(seed, i) for i in range(len(p))]
+    c_bg = np.array([rng.poisson(m * trials) for rng, m in zip(rngs, bg_means)])
+    c_tech = np.array([rng.poisson(config.tech_rate * w * trials) for rng, w in zip(rngs, p)])
+
+    def series(counts):
+        return SweepSeries(p, counts / trials, np.sqrt(counts) / trials,
+                           "control_power", "counts_per_pulse")
+
+    return series(c_bg), series(c_tech)

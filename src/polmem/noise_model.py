@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UndefinedRatioError
-from .streams import map_chunks, usable_cpus
+from .streams import check_poisson_mean, map_chunks, usable_cpus
 
 DEFAULT_N_MAX = 20
 
@@ -92,20 +92,6 @@ def _poisson_pmf(k, mean: float, log_fact) -> np.ndarray:
     return np.exp(k * np.log(mean) - mean - log_fact)
 
 
-def signal_term(n: int, params: NoiseModelParams) -> float:
-    """Probability of the memory emitting exactly n signal photons."""
-    if n < 0:
-        raise DataError(f"n must be >= 0, got {n}")
-    return float(_poisson_pmf(n, params.signal_mean, _log_factorial(n)))
-
-
-def background_term(m: int, params: NoiseModelParams) -> float:
-    """Probability of exactly m background photons."""
-    if m < 0:
-        raise DataError(f"m must be >= 0, got {m}")
-    return float(_poisson_pmf(m, params.q, _log_factorial(m)))
-
-
 def detection_probs(params: NoiseModelParams) -> DetectionProbs:
     """Truncated double sum over (n, m) of P(n)P(m) * n/(n+m) and m/(n+m).
 
@@ -176,6 +162,10 @@ def mc_detection_oracle(
     if workers is None:
         workers = usable_cpus()
     sp, q = params.signal_mean, params.q
+    check_poisson_mean("signal mean (eta * p)", sp, 1)
+    check_poisson_mean("background mean (q)", q, 1)
+    # the two-source branch adds the draws in int64
+    check_poisson_mean("total mean (eta * p + q)", sp + q, 1)
 
     def run(rng, size):
         # the uniform pick is only needed when both sources can fire: with

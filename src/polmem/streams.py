@@ -4,15 +4,22 @@ Trials are partitioned into fixed-size chunks and every chunk gets its own
 generator derived purely from (seed, chunk index).  The partition does not
 depend on how many workers execute the chunks, and chunk results are always
 combined in index order, so output is bit-identical for any worker count.
+Every Monte Carlo checks its trial count and its Poisson means here.
 """
 
+import contextlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Fixed chunk stride; must never depend on trial count or worker count.
 CHUNK_TRIALS = 1 << 18
+# largest mean numpy's Poisson sampler accepts: INT64_MAX - 10 * sqrt(INT64_MAX)
+POISSON_MEAN_MAX = 2.0**63 - 10 * math.sqrt(2.0**63)
 
 
 def usable_cpus() -> int:
@@ -36,10 +43,19 @@ def point_rng(seed, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index, 1)))
 
 
+def check_poisson_mean(what: str, rate: float, pulses: int) -> None:
+    """Refuse a draw of mean rate * pulses that numpy's Poisson sampler cannot take."""
+    with contextlib.suppress(OverflowError):  # pulses beyond the float range
+        if rate * pulses <= POISSON_MEAN_MAX:
+            return
+    raise ConfigError(f"{what} of {rate:.6g} per pulse over {pulses} pulses is a Poisson mean "
+                      f"above numpy's limit of {POISSON_MEAN_MAX:.6g}")
+
+
 def chunk_layout(trials: int) -> list[int]:
     """Sizes of the fixed chunks covering `trials`."""
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     full, rest = divmod(trials, CHUNK_TRIALS)
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 

@@ -2,8 +2,8 @@
 
 Every malformed input file ends the CLI with exit 2 and a message naming the
 file (for a CSV also the line, and the field when one field fails), never
-with a traceback.  The package's import graph has no cycle, and importing it
-loads no scipy.
+with a traceback.  The package's import graph has no cycle, importing it
+loads no scipy, and only streams.py touches numpy's random module.
 """
 
 import ast
@@ -291,3 +291,26 @@ def test_import_graph_is_acyclic():
 
     for m in sorted(graph):
         visit(m)
+
+
+def test_only_streams_uses_numpy_random():
+    """Every random stream is laid out in streams.py; no other module may
+    reach numpy's random module, by attribute or by import."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "streams.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr == "random" and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("np", "numpy")
+            elif isinstance(node, ast.Import):
+                hit = any(a.name.startswith("numpy.random") for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").startswith("numpy.random") or (
+                    node.module == "numpy" and any(a.name == "random" for a in node.names))
+            else:
+                hit = False
+            if hit:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

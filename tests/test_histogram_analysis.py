@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from polmem.errors import ConfigError, DataError, FitError, UndefinedRatioError
 from polmem.histogram_analysis import (
     StateResult,
-    StorageReport,
     Window,
     build_report,
     fit_exponential_decay,
@@ -374,13 +373,3 @@ def test_report_negative_efficiency_reported_with_warning():
         report = build_report(storage, reference, ROI, BG, ideal_stokes())
     assert report.average["efficiency"] == pytest.approx(-0.002)
     assert report.average["sbr"] == pytest.approx(-20 / 120)
-
-
-def test_report_rejects_tampered_averages():
-    states = {n: StateResult(1.0, 0.9, 0.05) for n in STATE_NAMES}
-    with pytest.raises(DataError):
-        StorageReport(
-            states=states,
-            average={"sbr": 2.0, "fidelity": 0.9, "efficiency": 0.05},
-            sem={"sbr": 0.0, "fidelity": 0.0, "efficiency": 0.0},
-        )

@@ -4,6 +4,7 @@ Aggregate counts are compared against analytic Poisson means (the noise
 model's closed forms) at three standard errors with fixed seeds.
 """
 
+import hashlib
 import json
 import math
 
@@ -16,11 +17,9 @@ from polmem.memory_sim import (
     DECAY_SCAN_STATE,
     INPUT_PULSE_US,
     MAX_BINS,
-    POISSON_MEAN_MAX,
     ArrivalHistogram,
     MemoryConfig,
     SweepSeries,
-    _check_poisson_mean,
     retrieved_stokes,
     simulate_background_sweep,
     simulate_decay_series,
@@ -36,6 +35,7 @@ from polmem.polarization import (
     stokes_from_qubit,
 )
 from polmem.histogram_analysis import Window, roi_counts
+from polmem.streams import POISSON_MEAN_MAX, check_poisson_mean
 
 H = CANONICAL_STATES["H"]
 V = CANONICAL_STATES["V"]
@@ -249,13 +249,81 @@ def test_simulate_histogram_rejects_bad_trials():
 def test_poisson_mean_limit_is_numpys():
     rng = np.random.default_rng(0)
     rng.poisson(POISSON_MEAN_MAX)
-    _check_poisson_mean("mean", POISSON_MEAN_MAX, 1)
+    check_poisson_mean("mean", POISSON_MEAN_MAX, 1)
     above = float(np.nextafter(POISSON_MEAN_MAX, math.inf))
     with pytest.raises(ValueError, match="lam value too large"):
         rng.poisson(above)
     for rate, pulses in ((above, 1), (float("nan"), 1), (0.5, 10**400)):
         with pytest.raises(ConfigError, match="mean of"):
-            _check_poisson_mean("mean", rate, pulses)
+            check_poisson_mean("mean", rate, pulses)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _hist_digest(hist):
+    return _digest(hist.counts, np.array([hist.t_start, hist.bin_width, hist.n_trials]))
+
+
+def _sweeps_digest(*sweeps):
+    return _digest(*(a for s in sweeps for a in (s.x, s.y, s.y_err)))
+
+
+_ANGLES = np.linspace(0, math.pi, 12)
+_POWERS = [0.0, 0.5, 1.0, 4.0]
+# each case maps workers to a digest of every array the simulator returns;
+# the sweeps take no worker count and must give the same bytes regardless
+_SIMULATOR_CASES = {
+    "histogram_no_background": lambda w: _hist_digest(simulate_histogram(
+        MemoryConfig(bg_rate=0.0, tech_rate=0.0), H, None, 600_000, 5, workers=w)),
+    "histogram_no_signal": lambda w: _hist_digest(simulate_histogram(
+        MemoryConfig(eta_h=0.0, eta_v=0.0, tech_rate=0.003), V, None, 600_000, 6, workers=w)),
+    "histogram_flat": lambda w: _hist_digest(simulate_histogram(
+        MemoryConfig(retrieval_shape="flat", tech_rate=0.002), D, None, 600_000, 7, workers=w)),
+    "histogram_analyzer": lambda w: _hist_digest(simulate_histogram(
+        MemoryConfig(dephasing=0.1), D, 0.7, 600_000, 8, workers=w, signal_scale=0.8)),
+    # V at a vertical analyzer rounds to a transmission a hair below zero
+    "histogram_analyzer_dark": lambda w: _hist_digest(simulate_histogram(
+        MemoryConfig(), V, math.pi / 2, 600_000, 15, workers=w)),
+    "reference": lambda w: _hist_digest(simulate_reference(MemoryConfig(), 600_000, 9, workers=w)),
+    "decay_series": lambda w: _sweeps_digest(
+        simulate_decay_series(MemoryConfig(), [0.0, 5.0, 20.0], 300_000, 10)),
+    "background_sweep": lambda w: _sweeps_digest(
+        *simulate_background_sweep(MemoryConfig(), _POWERS, 100_000, 11)),
+    "background_sweep_technical": lambda w: _sweeps_digest(
+        *simulate_background_sweep(MemoryConfig(tech_rate=0.01), _POWERS, 100_000, 12)),
+    "background_sweep_no_powers": lambda w: _sweeps_digest(
+        *simulate_background_sweep(MemoryConfig(), [], 100_000, 13)),
+    "polarimetry_sweep": lambda w: _sweeps_digest(simulate_polarimetry_sweep(
+        MemoryConfig(bg_rate=0.02, dephasing=0.2), D, _ANGLES, 100_000, 14)),
+}
+_SIMULATOR_DIGESTS = {
+    "background_sweep": "91c8785333c6110a",
+    "background_sweep_no_powers": "578f4ddfb8158283",
+    "background_sweep_technical": "a4324623ca48109f",
+    "decay_series": "ad394781287d7183",
+    "histogram_analyzer": "88036944b91887b2",
+    "histogram_analyzer_dark": "6de4e8c0b831ea74",
+    "histogram_flat": "df3927c5b1501a57",
+    "histogram_no_background": "eb7e7867dca33603",
+    "histogram_no_signal": "6ce53740ac0d013e",
+    "polarimetry_sweep": "ccaaa8bc42540b88",
+    "reference": "3f327de0fe59158f",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("case", sorted(_SIMULATOR_CASES))
+def test_simulator_bytes_pinned(case, workers):
+    """Every simulator's output bytes.  A new digest means new random
+    streams, which the determinism contract forbids without notice."""
+    assert _SIMULATOR_CASES[case](workers) == _SIMULATOR_DIGESTS[case]
 
 
 # -------------------------------------------------------------- reference
@@ -310,6 +378,14 @@ def test_sweep_fit_recovers_diluted_d_state():
     expected_dop = p_sig / (p_sig + p_bg)
     for key, truth in zip(("s1", "s2", "s3"), (0.0, expected_dop, 0.0)):
         assert abs(getattr(vec, key) - truth) <= 3 * fit.stderr[key]
+
+
+def test_background_free_sweep_draws_nothing_at_dark_angle():
+    # V's transmission at a vertical analyzer rounds a hair below zero
+    cfg = MemoryConfig(bg_rate=0.0, tech_rate=0.0)
+    sweep = simulate_polarimetry_sweep(cfg, V, np.linspace(0, math.pi, 9), 1000, 1)
+    assert sweep.y[4] == 0.0
+    assert np.all(sweep.y >= 0)
 
 
 def test_sweep_validation():
@@ -368,6 +444,15 @@ def test_background_sweep_validation():
         simulate_background_sweep(cfg, [1.0, 0.5], 100, 1)
     with pytest.raises(ConfigError):
         simulate_background_sweep(cfg, [-1.0], 100, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sweeps_reject_non_finite_abscissas(bad):
+    # a NaN or infinite time or power would be drawn at a NaN mean
+    with pytest.raises(ConfigError, match="finite"):
+        simulate_decay_series(MemoryConfig(), [0.0, bad], 1000, 1)
+    with pytest.raises(ConfigError, match="finite"):
+        simulate_background_sweep(MemoryConfig(), [0.0, bad], 1000, 1)
 
 
 # ------------------------------------------------------------ serialization

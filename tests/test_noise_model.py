@@ -17,20 +17,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from polmem.errors import DataError, UndefinedRatioError
+from polmem.errors import ConfigError, DataError, UndefinedRatioError
 from polmem.noise_model import (
     DEFAULT_N_MAX,
     DetectionProbs,
     NoiseModelParams,
     _log_factorial,
-    background_term,
     detection_probs,
     fidelity_sbr_curve,
     mc_detection_oracle,
     model_fidelity,
     model_sbr,
-    signal_term,
 )
+from polmem.streams import chunk_layout
 
 STANDARD_PARAMS = NoiseModelParams(eta=0.055, p=1.6, q=0.005)
 
@@ -88,23 +87,6 @@ def test_log_factorial_matches_scipy_gammaln_bit_for_bit():
     ks = [*range(2001), 10**5, 10**8 - 1, 10**8, 10**9, 10**12]
     expected = gammaln(np.array(ks, dtype=float) + 1.0).tolist()
     assert [_log_factorial(k) for k in ks] == expected
-
-
-def test_single_terms_match_poisson_pmf():
-    # pinned against scipy.stats.poisson evaluated independently
-    from scipy.stats import poisson
-
-    assert math.isclose(
-        signal_term(1, STANDARD_PARAMS), poisson.pmf(1, 0.055 * 1.6), rel_tol=1e-12
-    )
-    assert math.isclose(
-        background_term(0, STANDARD_PARAMS), poisson.pmf(0, 0.005), rel_tol=1e-12
-    )
-    # frozen literals so a scipy regression cannot mask a model regression
-    assert math.isclose(signal_term(1, STANDARD_PARAMS), 0.080586957151652655, rel_tol=1e-13)
-    assert math.isclose(background_term(0, STANDARD_PARAMS), 0.99501247919268231, rel_tol=1e-13)
-    with pytest.raises(DataError):
-        signal_term(-1, STANDARD_PARAMS)
 
 
 def test_detection_probs_frozen_oracle_values():
@@ -210,6 +192,24 @@ def test_mc_oracle_deterministic_across_workers():
     assert est1 == mc_detection_oracle(STANDARD_PARAMS, 600_000, 7, workers=2)
     # the default runs on every usable CPU and must not change the result
     assert est1 == mc_detection_oracle(STANDARD_PARAMS, 600_000, 7)
+
+
+@pytest.mark.parametrize(
+    "params, what",
+    [(NoiseModelParams(eta=1.0, p=1e300, q=0.0), "eta \\* p"),
+     (NoiseModelParams(eta=0.5, p=1.0, q=1e19), "background mean \\(q\\)"),
+     (NoiseModelParams(eta=1.0, p=5e18, q=5e18), "total mean")],
+)
+def test_mc_oracle_refuses_means_above_poisson_limit(params, what):
+    with pytest.raises(ConfigError, match=what):
+        mc_detection_oracle(params, 1000, 1)
+
+
+def test_mc_oracle_and_chunk_layout_refuse_no_trials():
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        mc_detection_oracle(STANDARD_PARAMS, 0, 1)
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        chunk_layout(0)
 
 
 def test_background_split_between_rails_is_equivalent():
