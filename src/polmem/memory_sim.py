@@ -26,7 +26,7 @@ from .polarization import (
     qwp_polarimeter_intensity,
     stokes_from_qubit,
 )
-from .streams import CHUNK_TRIALS, check_poisson_mean, map_chunks, point_rng
+from .streams import CHUNK_TRIALS, check_poisson_mean, check_trials, map_chunks, point_rng
 
 RETRIEVAL_TIME_CONSTANT_US = 0.3
 RETRIEVAL_SHAPES = ("exponential", "flat")
@@ -89,9 +89,9 @@ class MemoryConfig:
             raise ConfigError("bin_width and t_max must be positive")
         if not _is_multiple(self.t_max, self.bin_width):
             raise ConfigError("bin_width must divide t_max")
-        if self.n_bins > MAX_BINS:
+        if not 1 <= self.n_bins <= MAX_BINS:
             raise ConfigError(
-                f"t_max / bin_width gives {self.n_bins} bins, above the cap of {MAX_BINS}"
+                f"t_max / bin_width gives {self.n_bins} bins; need 1 to the cap of {MAX_BINS}"
             )
         if self.tau_coherence <= 0:
             raise ConfigError("tau_coherence must be positive")
@@ -191,6 +191,18 @@ def _histogram(times: np.ndarray, config: MemoryConfig) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+def _polarimeter_means(config, state, analyzer, signal_scale=1.0) -> tuple[float, float]:
+    """Per-pulse means of detected signal and ROI background.  A polarimeter
+    at plate angle `analyzer` (rad; None for none) thins the signal by its
+    transmission, floored at zero as rounding can leave a dark angle a hair
+    below it, and the unpolarized background by 1/2."""
+    sig_mean = config.signal_mean(state) * signal_scale
+    if analyzer is None:
+        return sig_mean, config.background_mean()
+    transmission = qwp_polarimeter_intensity(retrieved_stokes(config, state), analyzer)
+    return sig_mean * max(0.0, transmission), 0.5 * config.background_mean()
+
+
 def _simulate_arrivals(config, sources, trials, seed, workers, label) -> ArrivalHistogram:
     """Histogram of `trials` pulses from independent Poisson sources.
 
@@ -210,6 +222,21 @@ def _simulate_arrivals(config, sources, trials, seed, workers, label) -> Arrival
     return ArrivalHistogram(0.0, config.bin_width, counts, trials, label)
 
 
+def _simulate_points(x, x_name, sources, trials, seed) -> list[SweepSeries]:
+    """Counts per pulse over x, one SweepSeries per independent Poisson source.
+
+    Each source is (what, its mean per pulse at every point).  At point i
+    the sources draw their totals from point_rng(seed, i) in list order."""
+    check_trials(trials)
+    rngs = [point_rng(seed, i) for i in range(len(x))]
+    sweeps = []
+    for what, means in sources:  # source-major: each point's stream still serves them in list order
+        check_poisson_mean(what, max(means, default=0.0), trials)
+        c = np.array([rng.poisson(m * trials) for rng, m in zip(rngs, means)], dtype=np.int64)
+        sweeps.append(SweepSeries(x, c / trials, np.sqrt(c) / trials, x_name, "counts_per_pulse"))
+    return sweeps
+
+
 def simulate_histogram(
     config: MemoryConfig,
     state: QubitAngles,
@@ -220,20 +247,10 @@ def simulate_histogram(
     label: str = "storage",
     signal_scale: float = 1.0,
 ) -> ArrivalHistogram:
-    """Photon-arrival histogram of a storage experiment.
-
-    analyzer is the quarter-wave-plate angle (rad) of the polarimeter, or
-    None for no analyzer in the path.  With the analyzer in place the signal
-    is thinned by its transmission through plate + horizontal polarizer and
-    the (unpolarized) background by 1/2.  signal_scale is an extra
-    multiplier on the retrieved-signal mean (used for storage-time scans).
-    """
-    sig_mean = config.signal_mean(state) * signal_scale
-    bg_roi_mean = config.background_mean()
-    if analyzer is not None:
-        # rounding can leave a dark analyzer setting a hair below zero
-        sig_mean *= max(0.0, qwp_polarimeter_intensity(retrieved_stokes(config, state), analyzer))
-        bg_roi_mean *= 0.5
+    """Photon-arrival histogram of a storage experiment, seen through the
+    polarimeter at plate angle `analyzer` (rad; None for none).  signal_scale
+    multiplies the retrieved-signal mean (used for storage-time scans)."""
+    sig_mean, bg_roi_mean = _polarimeter_means(config, state, analyzer, signal_scale)
     # background is uniform over the control-on span [roi_start, t_max]
     bg_span = config.t_max - config.roi_start
     bg_total_mean = bg_roi_mean * bg_span / config.roi_duration
@@ -273,21 +290,12 @@ def simulate_polarimetry_sweep(
     angles = np.asarray(qwp_angles, dtype=float)
     if len(angles) < 8:
         raise ConfigError(f"need at least 8 analyzer angles, got {len(angles)}")
-    if trials_per_angle < 1:
-        raise ConfigError("trials_per_angle must be >= 1")
-    s_ret = retrieved_stokes(config, state)
-    sig_mean = config.signal_mean(state)
-    bg_mean = 0.5 * config.background_mean()
-
-    means = [sig_mean * qwp_polarimeter_intensity(s_ret, ang) + bg_mean for ang in angles]
-    y, y_err = np.array(means), np.zeros(len(angles))
-    if not noiseless:
-        check_poisson_mean("ROI mean (signal + background)", max(means), trials_per_angle)
-        draws = [point_rng(seed, i).poisson(max(0.0, m) * trials_per_angle)
-                 for i, m in enumerate(means)]
-        counts = np.array(draws)
-        y, y_err = counts / trials_per_angle, np.sqrt(counts) / trials_per_angle
-    return SweepSeries(angles, y, y_err, "qwp_angle_rad", "counts_per_pulse")
+    check_trials(trials_per_angle)
+    means = [sum(_polarimeter_means(config, state, ang)) for ang in angles]
+    if noiseless:
+        return SweepSeries(angles, means, np.zeros(len(means)), "qwp_angle_rad", "counts_per_pulse")
+    sources = [("ROI mean (signal + background)", means)]
+    return _simulate_points(angles, "qwp_angle_rad", sources, trials_per_angle, seed)[0]
 
 
 def simulate_decay_series(
@@ -335,19 +343,7 @@ def simulate_background_sweep(
     leakage only.  Coefficients come from tech_rate and bg_rate.
     """
     p = _increasing("powers", powers)
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-
-    bg_means = [config.tech_rate * power + config.bg_rate * math.sqrt(power) for power in p]
-    check_poisson_mean("background mean", max(bg_means, default=0.0), trials)
-
-    # per point, the background total and then the technical one from one stream
-    rngs = [point_rng(seed, i) for i in range(len(p))]
-    c_bg = np.array([rng.poisson(m * trials) for rng, m in zip(rngs, bg_means)])
-    c_tech = np.array([rng.poisson(config.tech_rate * w * trials) for rng, w in zip(rngs, p)])
-
-    def series(counts):
-        return SweepSeries(p, counts / trials, np.sqrt(counts) / trials,
-                           "control_power", "counts_per_pulse")
-
-    return series(c_bg), series(c_tech)
+    tech = [config.tech_rate * w for w in p]
+    sources = [("background mean", [t + config.bg_rate * math.sqrt(w) for t, w in zip(tech, p)]),
+               ("technical mean", tech)]
+    return tuple(_simulate_points(p, "control_power", sources, trials, seed))

@@ -111,11 +111,12 @@ def qwp_polarimeter_intensity(s: StokesVector, qwp_angle: float) -> float:
     """Detected intensity behind the rotating quarter-wave plate and analyzer.
 
     Equals the transmission probability for a single photon when s is
-    normalized.  Rejects states with degree of polarization above 1.
+    normalized.  Rejects a degree of polarization above 1 and a non-finite angle.
     """
     if not s.is_physical():
         raise DataError(f"degree of polarization {s.dop:.6g} exceeds 1")
-    t = qwp_angle
+    if not math.isfinite(t := qwp_angle):
+        raise DataError(f"plate angle must be finite, got {t} rad")
     return 0.5 * (
         s.s0
         + 0.5 * s.s1

@@ -52,10 +52,15 @@ def check_poisson_mean(what: str, rate: float, pulses: int) -> None:
                       f"above numpy's limit of {POISSON_MEAN_MAX:.6g}")
 
 
-def chunk_layout(trials: int) -> list[int]:
-    """Sizes of the fixed chunks covering `trials`."""
+def check_trials(trials: int) -> None:
+    """Refuse a Monte Carlo of fewer than one trial."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+
+
+def chunk_layout(trials: int) -> list[int]:
+    """Sizes of the fixed chunks covering `trials`."""
+    check_trials(trials)
     full, rest = divmod(trials, CHUNK_TRIALS)
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 

@@ -388,6 +388,33 @@ def test_simulate_above_poisson_limit_exit_2(tmp_path, capsys, kind, config, fla
     assert not out.exists()
 
 
+def test_background_free_noiseless_sweep_reads_back(tmp_path):
+    # V's transmission at 180 degrees rounds a hair below zero; the row must read 0.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bg_rate": 0, "tech_rate": 0}))
+    sweep = tmp_path / "v.csv"
+    assert run("simulate", "--config", cfg, "--kind", "polarimetry", "--state", "V",
+               "--noiseless", "--trials", 10, "--seed", 1, "--out", sweep) == 0
+    assert sweep.read_text().splitlines()[-1] == "180.0,0.0"
+    assert run("fit", "--kind", "stokes", "--samples", sweep, "--out", tmp_path / "f.json") == 0
+
+
+@pytest.mark.parametrize("noiseless", [[], ["--noiseless"]], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("flags", [
+    ["--analyzer", "nan"],
+    ["--analyzer", "inf"],
+    ["--kind", "polarimetry", "--angles", "nan,0,20,30,40,50,60,180"],
+    ["--kind", "polarimetry", "--angles", "0,nan,20,30,40,50,60,180"],
+    ["--kind", "polarimetry", "--angles", "0,inf,20,30,40,50,60,180"],
+], ids=["analyzer-nan", "analyzer-inf", "angles-nan-first", "angles-nan", "angles-inf"])
+def test_simulate_non_finite_plate_angle_exit_2(tmp_path, cfg_path, capsys, flags, noiseless):
+    out = tmp_path / "out"
+    assert run("simulate", "--config", cfg_path, "--state", "D", "--trials", 100, "--seed", 1,
+               *flags, *noiseless, "--out", out) == 2
+    assert "plate angle must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_library_example_runs(capsys):
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1

@@ -2,16 +2,20 @@
 
 Every malformed input file ends the CLI with exit 2 and a message naming the
 file (for a CSV also the line, and the field when one field fails), never
-with a traceback.  The package's import graph has no cycle, importing it
-loads no scipy, and only streams.py touches numpy's random module.
+with a traceback.  The same holds for any config values and plate angles
+given to `simulate`, whose output then holds no NaN or infinity.  The
+package's import graph has no cycle, importing it loads no scipy, only
+streams.py touches numpy's random module, and only data.py touches files.
 """
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +173,7 @@ CONFIG_CASES = {  # body, what the message must name (a command reads one config
     "int-beyond-float": ('{"p_in": 1' + "0" * 400 + "}", "p_in"),
     "t_max-over-bin_width-overflows": ('{"t_max": 1e308, "bin_width": 1e-10}', "t_max"),
     "bins-above-cap": ('{"t_max": 1e20}', "bins"),
+    "no-bins": ('{"bin_width": 1e10}', "bins"),
 }
 
 
@@ -252,6 +257,55 @@ def test_any_polarimetry_csv_never_raises(inputs, content, analyze):
     assert _exit_code(run, path, content) in (0, 2, 3)
 
 
+# ...and configs keyed by MemoryConfig's own fields, so that every value
+# reaches its check and, often enough when small and positive, the simulator
+CONFIGS = st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(pm.MemoryConfig)]),
+                          st.floats(0, 2) | JSON, max_size=4).map(lambda v: json.dumps(v).encode())
+KIND_FLAGS = {  # every simulate kind with the flags it needs
+    "histogram": ["--state", "H"],
+    "reference": [],
+    "polarimetry": ["--state", "D"],
+    "decay": ["--times", "0,5"],
+    "background": ["--powers", "0,1"],
+}
+
+
+def _check_simulate(inputs, flags):
+    """`polmem simulate` with flags exits 0, 2 (argparse's usage exit
+    included) or 3, and on 0 its data files hold no NaN or infinity."""
+    for path in inputs.glob("fuzz_out*"):
+        path.unlink()
+    argv = ["simulate", "--trials", "10", "--seed", "1", *flags, "--out", str(inputs / "fuzz_out")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)
+    for path in inputs.glob("fuzz_out*"):
+        if code == 0 and not path.name.endswith(".manifest.json"):
+            assert not re.search("nan|inf", path.read_text(), re.IGNORECASE), path.read_text()
+
+
+@PROPERTY
+@given(content=CONFIGS)
+def test_any_config_values_never_raise(inputs, content):
+    path = inputs / "fuzz_cfg.json"
+    path.write_bytes(content)
+    for kind, flags in KIND_FLAGS.items():
+        _check_simulate(inputs, ["--config", str(path), "--kind", kind, *flags])
+
+
+@PROPERTY
+@given(analyzer=st.floats(), angles=st.lists(st.floats(), max_size=16), noiseless=st.booleans())
+def test_any_plate_angles_never_raise(inputs, analyzer, angles, noiseless):
+    # `--flag=value`, so that argparse takes a negative value such as -1e-05 too
+    cfg = ["--config", str(inputs / "cfg.json"), "--state", "D"]
+    _check_simulate(inputs, [*cfg, f"--analyzer={analyzer!r}"])
+    sweep = [*cfg, "--kind", "polarimetry", f"--angles={','.join(map(repr, angles))}"]
+    _check_simulate(inputs, sweep + ["--noiseless"] if noiseless else sweep)
+
+
 # ------------------------------------------------------------ import graph
 
 
@@ -313,4 +367,23 @@ def test_only_streams_uses_numpy_random():
                 hit = False
             if hit:
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def _touches_file(call: ast.Call) -> bool:
+    """A call of open (builtin or any `.open`), os.replace or os.remove."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id == "open"
+    return isinstance(f, ast.Attribute) and (f.attr == "open" or (
+        f.attr in ("replace", "remove") and isinstance(f.value, ast.Name) and f.value.id == "os"))
+
+
+def test_only_data_touches_files():
+    """Every file is read and written in data.py; no other module may open,
+    replace or remove one."""
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "data.py"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and _touches_file(node)]
     assert offenders == []

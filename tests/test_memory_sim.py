@@ -96,6 +96,7 @@ def test_config_defaults_are_valid():
         dict(tau_coherence=0.0),
         dict(retrieval_shape="gaussian"),
         dict(t_max=50_000.05),  # one bin above MAX_BINS
+        dict(bin_width=1e10),  # t_max / bin_width rounds to no bin at all
     ],
 )
 def test_config_validation(kwargs):
@@ -302,6 +303,8 @@ _SIMULATOR_CASES = {
         *simulate_background_sweep(MemoryConfig(), [], 100_000, 13)),
     "polarimetry_sweep": lambda w: _sweeps_digest(simulate_polarimetry_sweep(
         MemoryConfig(bg_rate=0.02, dephasing=0.2), D, _ANGLES, 100_000, 14)),
+    "polarimetry_noiseless": lambda w: _sweeps_digest(simulate_polarimetry_sweep(
+        MemoryConfig(dephasing=0.2, tech_rate=0.01), D, _ANGLES, 100_000, 16, noiseless=True)),
 }
 _SIMULATOR_DIGESTS = {
     "background_sweep": "91c8785333c6110a",
@@ -313,6 +316,7 @@ _SIMULATOR_DIGESTS = {
     "histogram_flat": "df3927c5b1501a57",
     "histogram_no_background": "eb7e7867dca33603",
     "histogram_no_signal": "6ce53740ac0d013e",
+    "polarimetry_noiseless": "9759743a253fb864",
     "polarimetry_sweep": "ccaaa8bc42540b88",
     "reference": "3f327de0fe59158f",
 }
