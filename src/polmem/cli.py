@@ -11,7 +11,8 @@ fit          run one of the estimation fits on a saved dataset
 Structured objects are JSON, plot-ready series are CSV.  Every stochastic
 command writes a `<out>.manifest.json` recording command, config, seed and
 outputs, and all files are written atomically (temp + rename).  Exit codes:
-0 success, 2 usage/config/data error, 3 fit failure.
+0 success, 2 usage/config/data error or a run too large for memory, 3 fit
+failure.
 """
 
 import argparse
@@ -296,6 +297,9 @@ def main(argv=None) -> int:
         return 3
     except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a run too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -388,6 +388,27 @@ def test_simulate_above_poisson_limit_exit_2(tmp_path, capsys, kind, config, fla
     assert not out.exists()
 
 
+_DECAY = ["--kind", "decay", "--times", "0,5"]
+
+
+@pytest.mark.parametrize("config,flags,message", [
+    # each passes the Poisson check, then asks numpy for 90 PiB to 1 EiB of
+    # arrival times, beyond any address space, so the allocation fails at once
+    ({"chain": 1e14}, ["--kind", "reference"], "error: out of memory: "),
+    ({"chain": 1e14}, ["--kind", "histogram", "--state", "H"], "error: out of memory: "),
+    ({"chain": 1e14}, _DECAY, "error: out of memory: "),
+    ({"p_in": 0}, _DECAY, "reference histogram is empty"),
+    ({"chain": 0}, _DECAY, "reference histogram is empty"),
+], ids=["oom-reference", "oom-histogram", "oom-decay", "decay-p_in-0", "decay-chain-0"])
+def test_simulate_impossible_run_exit_2(tmp_path, capsys, config, flags, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run("simulate", "--config", cfg, "--trials", 1000, "--seed", 1, *flags,
+               "--out", tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_background_free_noiseless_sweep_reads_back(tmp_path):
     # V's transmission at 180 degrees rounds a hair below zero; the row must read 0.0
     cfg = tmp_path / "cfg.json"

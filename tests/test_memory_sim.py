@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from polmem import memory_sim
 from polmem.errors import ConfigError, DataError
 from polmem.memory_sim import (
     DECAY_SCAN_STATE,
@@ -34,8 +35,8 @@ from polmem.polarization import (
     qwp_polarimeter_intensity,
     stokes_from_qubit,
 )
-from polmem.histogram_analysis import Window, roi_counts
-from polmem.streams import POISSON_MEAN_MAX, check_poisson_mean
+from polmem.histogram_analysis import Window, roi_counts, storage_efficiency
+from polmem.streams import CHUNK_TRIALS, POISSON_MEAN_MAX, check_poisson_mean
 
 H = CANONICAL_STATES["H"]
 V = CANONICAL_STATES["V"]
@@ -277,6 +278,8 @@ def _sweeps_digest(*sweeps):
 
 
 _ANGLES = np.linspace(0, math.pi, 12)
+_CLIPPED = MemoryConfig(retrieval_shape="flat", t_max=0.5, bin_width=0.05, roi_start=0.1,
+                        roi_end=0.2, bg_window_start=0.3, bg_window_end=0.4)
 _POWERS = [0.0, 0.5, 1.0, 4.0]
 # each case maps workers to a digest of every array the simulator returns;
 # the sweeps take no worker count and must give the same bytes regardless
@@ -295,6 +298,9 @@ _SIMULATOR_CASES = {
     "reference": lambda w: _hist_digest(simulate_reference(MemoryConfig(), 600_000, 9, workers=w)),
     "decay_series": lambda w: _sweeps_digest(
         simulate_decay_series(MemoryConfig(), [0.0, 5.0, 20.0], 300_000, 10)),
+    # the reference pulse is clipped to t_max; several chunks and a partial last one
+    "decay_series_flat_clipped": lambda w: _sweeps_digest(
+        simulate_decay_series(_CLIPPED, [0.0, 5.0, 20.0], 1_000_001, 17)),
     "background_sweep": lambda w: _sweeps_digest(
         *simulate_background_sweep(MemoryConfig(), _POWERS, 100_000, 11)),
     "background_sweep_technical": lambda w: _sweeps_digest(
@@ -311,6 +317,7 @@ _SIMULATOR_DIGESTS = {
     "background_sweep_no_powers": "578f4ddfb8158283",
     "background_sweep_technical": "a4324623ca48109f",
     "decay_series": "ad394781287d7183",
+    "decay_series_flat_clipped": "ff17ca205074a38b",
     "histogram_analyzer": "88036944b91887b2",
     "histogram_analyzer_dark": "6de4e8c0b831ea74",
     "histogram_flat": "df3927c5b1501a57",
@@ -419,6 +426,30 @@ def test_decay_series_validation():
         simulate_decay_series(cfg, [0.0, 5.0, 5.0], 1000, 1)
     with pytest.raises(ConfigError):
         simulate_decay_series(cfg, [-1.0, 5.0], 1000, 1)
+
+
+@pytest.mark.parametrize("cfg,trials", [(MemoryConfig(), 2 * CHUNK_TRIALS + 5), (_CLIPPED, 1)],
+                         ids=["partial-chunk", "clipped-one-trial"])
+def test_decay_series_equals_full_reference_bit_for_bit(cfg, trials):
+    times, seed = [0.0, 7.0, 30.0], 23
+    series = simulate_decay_series(cfg, times, trials, seed)
+    reference = simulate_reference(cfg, trials, (seed, len(times)))
+    roi, bg = windows(cfg)
+    for i, t in enumerate(times):
+        hist = simulate_histogram(cfg, DECAY_SCAN_STATE, None, trials, (seed, i),
+                                  signal_scale=math.exp(-t / cfg.tau_coherence))
+        assert series.y[i] == storage_efficiency(hist, reference, roi, bg)
+        n = roi_counts(hist, roi) + roi_counts(hist, bg)
+        assert series.y_err[i] == math.sqrt(max(n, 1)) / reference.total()
+
+
+def test_decay_series_draws_no_reference_arrival_times(monkeypatch):
+    def no_histogram(*args, **kwargs):
+        raise AssertionError("the decay scan needs only the reference's total")
+
+    monkeypatch.setattr(memory_sim, "simulate_reference", no_histogram)
+    series = simulate_decay_series(MemoryConfig(), [0.0, 5.0], 1000, 3)
+    assert np.all(np.isfinite(series.y))
 
 
 def test_decay_scan_state_balances_rails():
