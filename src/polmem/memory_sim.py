@@ -3,9 +3,11 @@
 Each trial stores a weak pulse in two rails (H and V components), retrieves
 it into the region of interest, and adds control-induced background spread
 uniformly from the retrieval window to the end of the record.  Only aggregate
-histograms are returned, so chunks draw Poisson *totals* (a sum of
-independent Poisson trials is Poisson in the summed mean) plus individual
-arrival times; the per-trial statistics are unchanged.
+histograms are returned.  A Poisson number of photons with i.i.d. arrival
+times, binned, gives independent Poisson counts per bin whose means are the
+photon mean times each bin's probability; sums over pulses stay Poisson.  So
+every chunk draws one Poisson count per bin, of mean pulses * sum over the
+sources of mean * P(bin), and no arrival time is ever drawn.
 
 All entry points are deterministic functions of their seed, independent of
 worker count (see streams.py).
@@ -26,7 +28,7 @@ from .polarization import (
     qwp_polarimeter_intensity,
     stokes_from_qubit,
 )
-from .streams import CHUNK_TRIALS, check_poisson_mean, check_trials, map_chunks, point_rng
+from .streams import check_poisson_mean, check_trials, map_chunks, point_rng
 
 RETRIEVAL_TIME_CONSTANT_US = 0.3
 RETRIEVAL_SHAPES = ("exponential", "flat")
@@ -176,19 +178,12 @@ def retrieved_stokes(config: MemoryConfig, state: QubitAngles) -> StokesVector:
     )
 
 
-def _signal_times(rng, n: int, config: MemoryConfig) -> np.ndarray:
-    """Arrival times of retrieved photons inside the region of interest."""
-    span = config.roi_duration
-    if config.retrieval_shape == "flat":
-        return config.roi_start + span * rng.random(n)
-    tc = RETRIEVAL_TIME_CONSTANT_US
-    u = rng.random(n)
-    return config.roi_start - tc * np.log1p(-u * (1.0 - math.exp(-span / tc)))
-
-
-def _histogram(times: np.ndarray, config: MemoryConfig) -> np.ndarray:
-    counts, _ = np.histogram(times, bins=config.n_bins, range=(0.0, config.t_max))
-    return counts.astype(np.int64)
+def _bin_mass(config: MemoryConfig, a: float, b: float, tc: float | None = None) -> np.ndarray:
+    """Probability of each histogram bin for an arrival uniform on [a, b] or,
+    given tc, exponential from a with time constant tc, truncated at b."""
+    x = np.clip(np.linspace(0.0, config.t_max, config.n_bins + 1), a, b) - a
+    cdf = x / (b - a) if tc is None else np.expm1(-x / tc) / math.expm1(-(b - a) / tc)
+    return np.diff(cdf)
 
 
 def _polarimeter_means(config, state, analyzer, signal_scale=1.0) -> tuple[float, float]:
@@ -206,19 +201,17 @@ def _polarimeter_means(config, state, analyzer, signal_scale=1.0) -> tuple[float
 def _simulate_arrivals(config, sources, trials, seed, workers, label) -> ArrivalHistogram:
     """Histogram of `trials` pulses from independent Poisson sources.
 
-    Each source is (what, mean per pulse, times(rng, n)).  In every chunk the
-    sources draw in list order: first the chunk's Poisson total, then that
-    many arrival times.  A source of mean zero draws a zero total without
-    advancing the stream.
+    Each source is (what, mean per pulse, probability of each bin).  Every
+    chunk draws one Poisson count per bin, of mean chunk size * sum over the
+    sources of mean * mass.  The Poisson limit is checked for the whole run,
+    source by source and summed, so neither a bin nor the total can wrap.
     """
     for what, mean, _ in sources:
-        check_poisson_mean(what, mean, min(trials, CHUNK_TRIALS))
-
-    def run(rng, size):
-        return sum(_histogram(times(rng, rng.poisson(mean * size)), config)
-                   for _, mean, times in sources)
-
-    counts = np.sum(map_chunks(run, trials, seed, workers), axis=0)
+        check_poisson_mean(what, mean, trials)
+    check_poisson_mean("total mean", sum(mean for _, mean, _ in sources), trials)
+    lam = sum(mean * mass for _, mean, mass in sources)
+    counts = np.sum(map_chunks(lambda rng, size: rng.poisson(size * lam), trials, seed, workers),
+                    axis=0)
     return ArrivalHistogram(0.0, config.bin_width, counts, trials, label)
 
 
@@ -251,42 +244,26 @@ def simulate_histogram(
     polarimeter at plate angle `analyzer` (rad; None for none).  signal_scale
     multiplies the retrieved-signal mean (used for storage-time scans)."""
     sig_mean, bg_roi_mean = _polarimeter_means(config, state, analyzer, signal_scale)
+    tc = RETRIEVAL_TIME_CONSTANT_US if config.retrieval_shape == "exponential" else None
     # background is uniform over the control-on span [roi_start, t_max]
-    bg_span = config.t_max - config.roi_start
-    bg_total_mean = bg_roi_mean * bg_span / config.roi_duration
+    bg_total_mean = bg_roi_mean * (config.t_max - config.roi_start) / config.roi_duration
     sources = [
         ("signal mean (chain * eta * p_in)", sig_mean,
-         lambda rng, n: _signal_times(rng, n, config)),
+         _bin_mass(config, config.roi_start, config.roi_end, tc)),
         ("background mean (bg_rate + tech_rate)", bg_total_mean,
-         lambda rng, n: config.roi_start + bg_span * rng.random(n)),
+         _bin_mass(config, config.roi_start, config.t_max)),
     ]
     return _simulate_arrivals(config, sources, trials, seed, workers, label)
-
-
-def _reference_source(config: MemoryConfig):
-    """The transmitted probe as a Poisson source: the input pulse, clipped to
-    the record, with no storage and no background."""
-    width = min(INPUT_PULSE_US, config.t_max)
-    return ("input mean (chain * p_in)", config.chain * config.p_in,
-            lambda rng, n: width * rng.random(n))
 
 
 def simulate_reference(
     config: MemoryConfig, trials: int, seed, workers: int = 1
 ) -> ArrivalHistogram:
-    """Transmitted-probe histogram: the input pulse with no storage, no background."""
-    return _simulate_arrivals(config, [_reference_source(config)], trials, seed, workers,
-                              "reference")
-
-
-def _reference_total(config: MemoryConfig, trials: int, seed) -> ArrivalHistogram:
-    """simulate_reference rebinned into one bin spanning the record.  Its
-    chunks draw their totals before their arrival times, and every time lies
-    in the record, so the totals alone make the same count; no time is drawn."""
-    what, mean, _ = _reference_source(config)
-    check_poisson_mean(what, mean, min(trials, CHUNK_TRIALS))
-    total = sum(map_chunks(lambda rng, size: int(rng.poisson(mean * size)), trials, seed))
-    return ArrivalHistogram(0.0, config.t_max, [total], trials, "reference")
+    """Transmitted-probe histogram: the input pulse, clipped to the record,
+    with no storage and no background."""
+    source = ("input mean (chain * p_in)", config.chain * config.p_in,
+              _bin_mass(config, 0.0, min(INPUT_PULSE_US, config.t_max)))
+    return _simulate_arrivals(config, [source], trials, seed, workers, "reference")
 
 
 def simulate_polarimetry_sweep(
@@ -322,15 +299,12 @@ def simulate_decay_series(
     The retrieved-signal mean decays as exp(-t/tau_coherence); every point
     is analyzed with the standard window procedure against a simulated
     reference run of `trials` pulses from seed (seed, len(storage_times)).
-    Only that run's total enters the estimate, so its chunk totals are drawn
-    from simulate_reference's streams and no arrival times: the efficiencies
-    equal those against the full reference histogram bit for bit.
     """
     times = _increasing("storage times", storage_times)
 
     roi = Window(config.roi_start, config.roi_end)
     bg = Window(config.bg_window_start, config.bg_window_end)
-    reference = _reference_total(config, trials, (seed, len(times)))
+    reference = simulate_reference(config, trials, (seed, len(times)))
     ref_total = reference.total()
 
     y = np.empty(len(times))

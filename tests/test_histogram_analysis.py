@@ -73,9 +73,9 @@ def test_roi_counts_golden_simulated_value():
     hist = simulate_histogram(
         MemoryConfig(), CANONICAL_STATES["R"], None, 250_000, 2024
     )
-    assert roi_counts(hist, ROI) == 27691
-    assert roi_counts(hist, BG) == 1222
-    assert hist.total() == 33348
+    assert roi_counts(hist, ROI) == 27723
+    assert roi_counts(hist, BG) == 1235
+    assert hist.total() == 33404
 
 
 # -------------------------------------------------------------- efficiency

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from polmem import memory_sim
 from polmem.errors import ConfigError, DataError
@@ -316,16 +317,16 @@ _SIMULATOR_DIGESTS = {
     "background_sweep": "91c8785333c6110a",
     "background_sweep_no_powers": "578f4ddfb8158283",
     "background_sweep_technical": "a4324623ca48109f",
-    "decay_series": "ad394781287d7183",
-    "decay_series_flat_clipped": "ff17ca205074a38b",
-    "histogram_analyzer": "88036944b91887b2",
-    "histogram_analyzer_dark": "6de4e8c0b831ea74",
-    "histogram_flat": "df3927c5b1501a57",
-    "histogram_no_background": "eb7e7867dca33603",
-    "histogram_no_signal": "6ce53740ac0d013e",
+    "decay_series": "a29f6d2ad39f0856",
+    "decay_series_flat_clipped": "eb3381773afcae73",
+    "histogram_analyzer": "5850982f15bd3cfe",
+    "histogram_analyzer_dark": "feeeb14341c8c809",
+    "histogram_flat": "9741c3a698bf5dbb",
+    "histogram_no_background": "5aaa2d1a89bacef7",
+    "histogram_no_signal": "4c98fa1ddfc6238a",
     "polarimetry_noiseless": "9759743a253fb864",
     "polarimetry_sweep": "ccaaa8bc42540b88",
-    "reference": "3f327de0fe59158f",
+    "reference": "81d48e9d8871e40e",
 }
 
 
@@ -335,6 +336,84 @@ def test_simulator_bytes_pinned(case, workers):
     """Every simulator's output bytes.  A new digest means new random
     streams, which the determinism contract forbids without notice."""
     assert _SIMULATOR_CASES[case](workers) == _SIMULATOR_DIGESTS[case]
+
+
+# ------------------------------------------------------- bin probabilities
+
+
+def _scipy_mass(config, dist):
+    """Probability of each histogram bin under a scipy.stats law."""
+    return np.diff(dist.cdf(np.linspace(0.0, config.t_max, config.n_bins + 1)))
+
+
+def _source_laws(config):
+    """The scipy.stats law of each source's arrival time."""
+    span = config.roi_end - config.roi_start
+    tc = memory_sim.RETRIEVAL_TIME_CONSTANT_US
+    if config.retrieval_shape == "flat":
+        retrieval = stats.uniform(config.roi_start, span)
+    else:
+        retrieval = stats.truncexpon(span / tc, loc=config.roi_start, scale=tc)
+    return {
+        "retrieval": retrieval,
+        "background": stats.uniform(config.roi_start, config.t_max - config.roi_start),
+        "reference": stats.uniform(0.0, min(INPUT_PULSE_US, config.t_max)),
+    }
+
+
+_MASS_CONFIGS = {"default": MemoryConfig(), "flat": MemoryConfig(retrieval_shape="flat"),
+                 "clipped": _CLIPPED}
+
+
+@pytest.mark.parametrize("name", sorted(_MASS_CONFIGS))
+def test_bin_mass_matches_scipy(name):
+    cfg = _MASS_CONFIGS[name]
+    tc = memory_sim.RETRIEVAL_TIME_CONSTANT_US if cfg.retrieval_shape == "exponential" else None
+    ours = {
+        "retrieval": memory_sim._bin_mass(cfg, cfg.roi_start, cfg.roi_end, tc),
+        "background": memory_sim._bin_mass(cfg, cfg.roi_start, cfg.t_max),
+        "reference": memory_sim._bin_mass(cfg, 0.0, min(INPUT_PULSE_US, cfg.t_max)),
+    }
+    for source, law in _source_laws(cfg).items():
+        assert_allclose(ours[source], _scipy_mass(cfg, law), rtol=0, atol=1e-12, err_msg=source)
+        assert abs(ours[source].sum() - 1.0) <= 1e-12, source
+
+
+_NO_BG = dict(bg_rate=0.0, tech_rate=0.0)
+# (config, kind, seed): one large histogram per source shape, and their sum
+_CHI2_CASES = {
+    "exponential": (MemoryConfig(**_NO_BG), "histogram", 101),
+    "flat": (MemoryConfig(retrieval_shape="flat", **_NO_BG), "histogram", 102),
+    "background": (MemoryConfig(eta_h=0.0, eta_v=0.0), "histogram", 103),
+    "signal_and_background": (MemoryConfig(tech_rate=0.002), "histogram", 104),
+    "reference": (MemoryConfig(), "reference", 105),
+    "reference_clipped": (_CLIPPED, "reference", 106),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHI2_CASES))
+def test_histogram_counts_match_expected_means(case):
+    """Pearson chi-square of every bin's count against trials * sum of
+    mean * P(bin), with P from scipy.  The counts are independent Poisson,
+    so with k bins of positive mean the statistic is chi-square with k
+    degrees of freedom; each case fails by chance with probability 1e-6.
+    A few bins hold a sliver of a source (one ulp of a bin edge), so their
+    expected count is about 1e-8; they keep that rate below about 1e-6."""
+    cfg, kind, seed = _CHI2_CASES[case]
+    trials = 10_000_000  # 38 full chunks and a partial one
+    laws = _source_laws(cfg)
+    if kind == "reference":
+        hist = simulate_reference(cfg, trials, seed)
+        parts = [(cfg.chain * cfg.p_in, laws["reference"])]
+    else:
+        hist = simulate_histogram(cfg, H, None, trials, seed)
+        bg = cfg.background_mean() * (cfg.t_max - cfg.roi_start) / cfg.roi_duration
+        parts = [(cfg.signal_mean(H), laws["retrieval"]), (bg, laws["background"])]
+    expected = trials * sum(mean * _scipy_mass(cfg, law) for mean, law in parts)
+    live = expected > 0
+    assert np.all(hist.counts[~live] == 0)
+    chi2 = float(np.sum((hist.counts[live] - expected[live]) ** 2 / expected[live]))
+    assert chi2 < stats.chi2.isf(1e-6, np.count_nonzero(live))
 
 
 # -------------------------------------------------------------- reference
@@ -441,15 +520,6 @@ def test_decay_series_equals_full_reference_bit_for_bit(cfg, trials):
         assert series.y[i] == storage_efficiency(hist, reference, roi, bg)
         n = roi_counts(hist, roi) + roi_counts(hist, bg)
         assert series.y_err[i] == math.sqrt(max(n, 1)) / reference.total()
-
-
-def test_decay_series_draws_no_reference_arrival_times(monkeypatch):
-    def no_histogram(*args, **kwargs):
-        raise AssertionError("the decay scan needs only the reference's total")
-
-    monkeypatch.setattr(memory_sim, "simulate_reference", no_histogram)
-    series = simulate_decay_series(MemoryConfig(), [0.0, 5.0], 1000, 3)
-    assert np.all(np.isfinite(series.y))
 
 
 def test_decay_scan_state_balances_rails():
