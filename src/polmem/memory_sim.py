@@ -322,7 +322,7 @@ def simulate_decay_series(
         y[i] = storage_efficiency(hist, reference, roi, bg)
         n_roi = roi_counts(hist, roi)
         n_bg = roi_counts(hist, bg)
-        y_err[i] = math.sqrt(max(n_roi + n_bg, 1)) / ref_total
+        y_err[i] = math.sqrt(max(n_roi + n_bg, 1) + y[i] ** 2 * ref_total) / ref_total
     return SweepSeries(times, y, y_err, "storage_time_us", "efficiency")
 
 

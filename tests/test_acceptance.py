@@ -3,7 +3,9 @@
 Each test finishes by printing a single `[criterion N] PASS` line with the
 measured numbers (pytest is configured with -rP so these lines appear in
 the recorded run log).  Tolerances are stated inline; statistical checks
-run on fixed seeds and are therefore reproducible.
+run on fixed seeds and are therefore reproducible.  A statistical test takes
+its seeds from its `base` argument, whose default gives the committed seeds;
+tools/pass_rates.py reruns it at fresh bases to measure its failure rate.
 """
 
 import math
@@ -92,7 +94,7 @@ def test_criterion_2_fidelity_unit_suite():
     )
 
 
-def test_criterion_3_six_state_benchmark():
+def test_criterion_3_six_state_benchmark(base=300):
     """Six-state run at 1e6 trials/state: SBR 1.35 +- 0.09, avg fidelity tracks (SBR+1/2)/(SBR+1)."""
     # detected means implied by the SBR definition: 0.0055 signal, 0.0041
     # background inside the retrieval window
@@ -104,15 +106,15 @@ def test_criterion_3_six_state_benchmark():
     trials = 1_000_000
     angles = np.linspace(0.0, math.pi, 16)
     start = time.monotonic()
-    reference = pm.simulate_reference(cfg, trials, 300)
+    reference = pm.simulate_reference(cfg, trials, base)
     storage, measured = {}, {}
     for i, name in enumerate(STATE_NAMES):
         state = CANONICAL_STATES[name]
         storage[name] = pm.simulate_histogram(
-            cfg, state, None, trials, 301 + i, label=f"storage:{name}"
+            cfg, state, None, trials, base + 1 + i, label=f"storage:{name}"
         )
         sweep = pm.simulate_polarimetry_sweep(
-            cfg, state, angles, trials // len(angles), 321 + i
+            cfg, state, angles, trials // len(angles), base + 21 + i
         )
         measured[name], _ = fit_stokes(sweep)
     roi = pm.Window(cfg.roi_start, cfg.roi_end)
@@ -154,12 +156,12 @@ def test_criterion_4_fidelity_sbr_curve():
     )
 
 
-def test_criterion_5_coherence_fit():
+def test_criterion_5_coherence_fit(base=500):
     """tau = 19.3 us recovered within 2% from 8 points at 1e6 trials/point, <2 min."""
     cfg = pm.MemoryConfig()  # tau_coherence = 19.3
     times = list(np.linspace(0.0, 35.0, 8))
     start = time.monotonic()
-    series = pm.simulate_decay_series(cfg, times, 1_000_000, 500)
+    series = pm.simulate_decay_series(cfg, times, 1_000_000, base)
     fit = pm.fit_exponential_decay(series)
     elapsed = time.monotonic() - start
     tau = fit.params["tau"]
@@ -171,11 +173,11 @@ def test_criterion_5_coherence_fit():
     )
 
 
-def test_criterion_6_fwm_exponent():
+def test_criterion_6_fwm_exponent(base=600):
     """Subtracted background scales as power^c with c = 0.50 +- 0.02."""
     cfg = pm.MemoryConfig(eta_h=0.0, eta_v=0.0, bg_rate=0.004, tech_rate=0.002)
     powers = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
-    background, technical = pm.simulate_background_sweep(cfg, powers, 2_000_000, 600)
+    background, technical = pm.simulate_background_sweep(cfg, powers, 2_000_000, base)
     fit = pm.fit_sqrt_background(background, technical)
     c = fit.params["c"]
     assert abs(c - 0.5) <= 0.02, f"exponent {c}"
@@ -185,9 +187,9 @@ def test_criterion_6_fwm_exponent():
     )
 
 
-def test_criterion_7_polarimetry_round_trip():
+def test_criterion_7_polarimetry_round_trip(base=700):
     """fit_stokes inverts the intensity law: 1e-9 noiseless, 3 sigma under Poisson."""
-    rng = np.random.default_rng(700)
+    rng = np.random.default_rng(base)
     angles = np.linspace(0.0, math.pi, 16)
     worst = 0.0
     for _ in range(100):
@@ -218,9 +220,9 @@ def test_criterion_7_polarimetry_round_trip():
     )
 
 
-def test_criterion_8_rotation_alignment():
+def test_criterion_8_rotation_alignment(base=800):
     """fit_rotation exact to 1e-9 noiseless; 1% perturbation keeps mean fidelity > 0.99."""
-    rng = np.random.default_rng(800)
+    rng = np.random.default_rng(base)
     basis = [stokes_from_qubit(CANONICAL_STATES[n]) for n in STATE_NAMES]
     worst = 0.0
     for _ in range(50):

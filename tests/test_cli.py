@@ -1,5 +1,6 @@
 """Command-line round trips, exit codes, determinism, and golden regressions."""
 
+import importlib.util
 import json
 import math
 import os
@@ -464,6 +465,20 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_pass_rate_table_lists_every_statistical_test():
+    """The README's pass-rate table has one row per test that
+    tools/pass_rates.py runs, and no other row."""
+    path = README.parent / "tools" / "pass_rates.py"
+    spec = importlib.util.spec_from_file_location("pass_rates", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    discovered = sorted(name for name, _ in tool.discover())
+    section = README.read_text(encoding="utf-8").split("## Acceptance checks")[1].split("\n## ")[0]
+    rows = sorted(re.findall(r"^\| `(\w+::\w+)` \|", section, re.M))
+    assert rows == discovered
+    assert len(discovered) >= 18
 
 
 def test_version_flag(capsys):

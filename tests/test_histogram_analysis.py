@@ -153,8 +153,8 @@ def test_decay_fit_exact_round_trip():
     assert fit.n_points == 8
 
 
-def test_decay_fit_noisy_recovery_within_errors():
-    rng = np.random.default_rng(7)
+def test_decay_fit_noisy_recovery_within_errors(base=7):
+    rng = np.random.default_rng(base)
     t = np.linspace(0.0, 35.0, 8)
     trials = 1_000_000
     truth = 0.05 * np.exp(-t / 19.3)
@@ -250,8 +250,8 @@ def test_power_fit_exact_round_trip():
     assert fit.n_points == 6
 
 
-def test_power_fit_monte_carlo_exponent():
-    rng = np.random.default_rng(11)
+def test_power_fit_monte_carlo_exponent(base=11):
+    rng = np.random.default_rng(base)
     p = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
     trials = 2_000_000
     estimates = []

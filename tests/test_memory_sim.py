@@ -172,10 +172,10 @@ def test_zero_config_gives_empty_histogram():
     assert len(hist.counts) == cfg.n_bins
 
 
-def test_histogram_means_match_closed_form():
+def test_histogram_means_match_closed_form(base=31):
     cfg = MemoryConfig()
     trials = 400_000
-    hist = simulate_histogram(cfg, H, None, trials, 31)
+    hist = simulate_histogram(cfg, H, None, trials, base)
     roi, bg = windows(cfg)
     mean_sig = cfg.signal_mean(H) * trials
     mean_bg_roi = cfg.background_mean() * trials
@@ -188,9 +188,9 @@ def test_histogram_means_match_closed_form():
     assert roi_counts(hist, Window(0.0, cfg.roi_start)) == 0
 
 
-def test_histogram_flat_shape_fills_roi_uniformly():
+def test_histogram_flat_shape_fills_roi_uniformly(base=32):
     cfg = MemoryConfig(retrieval_shape="flat", bg_rate=0.0)
-    hist = simulate_histogram(cfg, H, None, 400_000, 32)
+    hist = simulate_histogram(cfg, H, None, 400_000, base)
     roi, _ = windows(cfg)
     i0 = round((roi.start - hist.t_start) / hist.bin_width)
     i1 = round((roi.end - hist.t_start) / hist.bin_width)
@@ -200,13 +200,13 @@ def test_histogram_flat_shape_fills_roi_uniformly():
     assert np.all(np.abs(bins - expected) <= 4 * math.sqrt(expected))
 
 
-def test_analyzer_thins_signal_and_halves_background():
+def test_analyzer_thins_signal_and_halves_background(base=33):
     cfg = MemoryConfig(eta_h=0.055, eta_v=0.055, bg_rate=0.02)
     trials = 400_000
     roi, bg = windows(cfg)
     # analyzer at 0 passes H fully and blocks V
-    h_pass = simulate_histogram(cfg, H, 0.0, trials, 33)
-    v_block = simulate_histogram(cfg, V, 0.0, trials, 34)
+    h_pass = simulate_histogram(cfg, H, 0.0, trials, base)
+    v_block = simulate_histogram(cfg, V, 0.0, trials, base + 1)
     mean_sig = cfg.signal_mean(H) * trials
     mean_bg = 0.5 * cfg.background_mean() * trials
     n_h = roi_counts(h_pass, roi)
@@ -228,15 +228,15 @@ def test_histogram_deterministic_across_workers_and_reruns():
     assert not np.array_equal(a.counts, other.counts)
 
 
-def test_background_split_between_rails_indistinguishable():
+def test_background_split_between_rails_indistinguishable(base=41):
     # one source at q vs. the sum of two independent sources at q/2
     q = 0.02
     trials = 500_000
     single_cfg = MemoryConfig(eta_h=0.0, eta_v=0.0, bg_rate=q)
     half_cfg = MemoryConfig(eta_h=0.0, eta_v=0.0, bg_rate=q / 2)
-    single = simulate_histogram(single_cfg, H, None, trials, 41)
-    rail_a = simulate_histogram(half_cfg, H, None, trials, 42)
-    rail_b = simulate_histogram(half_cfg, H, None, trials, 43)
+    single = simulate_histogram(single_cfg, H, None, trials, base)
+    rail_a = simulate_histogram(half_cfg, H, None, trials, base + 1)
+    rail_b = simulate_histogram(half_cfg, H, None, trials, base + 2)
     roi, _ = windows(single_cfg)
     n1 = roi_counts(single, roi)
     n2 = roi_counts(rail_a, roi) + roi_counts(rail_b, roi)
@@ -317,8 +317,8 @@ _SIMULATOR_DIGESTS = {
     "background_sweep": "91c8785333c6110a",
     "background_sweep_no_powers": "578f4ddfb8158283",
     "background_sweep_technical": "a4324623ca48109f",
-    "decay_series": "a29f6d2ad39f0856",
-    "decay_series_flat_clipped": "eb3381773afcae73",
+    "decay_series": "76ebc68ed3a7af06",
+    "decay_series_flat_clipped": "c757acd024297e10",
     "histogram_analyzer": "5850982f15bd3cfe",
     "histogram_analyzer_dark": "feeeb14341c8c809",
     "histogram_flat": "9741c3a698bf5dbb",
@@ -419,15 +419,15 @@ def test_histogram_counts_match_expected_means(case):
 # -------------------------------------------------------------- reference
 
 
-def test_reference_total_and_support():
+def test_reference_total_and_support(base=51):
     cfg = MemoryConfig()
     trials = 300_000
-    ref = simulate_reference(cfg, trials, 51)
+    ref = simulate_reference(cfg, trials, base)
     mean = cfg.chain * cfg.p_in * trials
     assert abs(ref.total() - mean) <= 3 * math.sqrt(mean)
     assert roi_counts(ref, Window(INPUT_PULSE_US, cfg.t_max)) == 0
     assert ref.label == "reference"
-    again = simulate_reference(cfg, trials, 51, workers=4)
+    again = simulate_reference(cfg, trials, base, workers=4)
     assert np.array_equal(ref.counts, again.counts)
 
 
@@ -448,20 +448,20 @@ def test_noiseless_sweep_reproduces_intensity_curve():
     assert np.all(sweep.y_err == 0)
 
 
-def test_unpolarized_sweep_is_flat():
+def test_unpolarized_sweep_is_flat(base=62):
     cfg = MemoryConfig(eta_h=0.0, eta_v=0.0, bg_rate=0.05)
     angles = np.linspace(0, math.pi, 12)
-    sweep = simulate_polarimetry_sweep(cfg, D, angles, 200_000, 62)
+    sweep = simulate_polarimetry_sweep(cfg, D, angles, 200_000, base)
     level = 0.5 * cfg.background_mean()
     sigma = math.sqrt(level / 200_000)
     assert np.all(np.abs(sweep.y - level) <= 4 * sigma)
 
 
-def test_sweep_fit_recovers_diluted_d_state():
+def test_sweep_fit_recovers_diluted_d_state(base=63):
     cfg = MemoryConfig(eta_h=0.055, eta_v=0.055)
     trials = 300_000
     angles = np.linspace(0, math.pi, 16)
-    sweep = simulate_polarimetry_sweep(cfg, D, angles, trials, 63)
+    sweep = simulate_polarimetry_sweep(cfg, D, angles, trials, base)
     vec, fit = fit_stokes(sweep)
     p_sig = cfg.signal_mean(D)
     p_bg = cfg.background_mean()
@@ -489,9 +489,9 @@ def test_sweep_validation():
 # ------------------------------------------------------------ decay series
 
 
-def test_decay_series_starts_at_configured_efficiency():
+def test_decay_series_starts_at_configured_efficiency(base=71):
     cfg = MemoryConfig(eta_h=0.055, eta_v=0.055)
-    series = simulate_decay_series(cfg, [0.0, 10.0, 20.0], 400_000, 71)
+    series = simulate_decay_series(cfg, [0.0, 10.0, 20.0], 400_000, base)
     assert series.x_name == "storage_time_us"
     assert abs(series.y[0] - 0.055) <= 3 * series.y_err[0]
     # configured decay: later points follow exp(-t/tau) within errors
@@ -518,8 +518,9 @@ def test_decay_series_equals_full_reference_bit_for_bit(cfg, trials):
         hist = simulate_histogram(cfg, DECAY_SCAN_STATE, None, trials, (seed, i),
                                   signal_scale=math.exp(-t / cfg.tau_coherence))
         assert series.y[i] == storage_efficiency(hist, reference, roi, bg)
-        n = roi_counts(hist, roi) + roi_counts(hist, bg)
-        assert series.y_err[i] == math.sqrt(max(n, 1)) / reference.total()
+        n, r = roi_counts(hist, roi) + roi_counts(hist, bg), reference.total()
+        # delta-method error of net / r, with r a Poisson total too
+        assert series.y_err[i] == math.sqrt(max(n, 1) + series.y[i] ** 2 * r) / r
 
 
 def test_decay_scan_state_balances_rails():
@@ -529,11 +530,11 @@ def test_decay_scan_state_balances_rails():
 # -------------------------------------------------------- background sweep
 
 
-def test_background_sweep_means_and_zero_power():
+def test_background_sweep_means_and_zero_power(base=81):
     cfg = MemoryConfig(eta_h=0.0, eta_v=0.0, bg_rate=0.004, tech_rate=0.002)
     powers = [0.0, 1.0, 4.0, 9.0]
     trials = 1_000_000
-    bg, tech = simulate_background_sweep(cfg, powers, trials, 81)
+    bg, tech = simulate_background_sweep(cfg, powers, trials, base)
     assert bg.y[0] == 0.0 and tech.y[0] == 0.0
     for p, y in zip(powers[1:], bg.y[1:]):
         mean = cfg.tech_rate * p + cfg.bg_rate * math.sqrt(p)

@@ -172,9 +172,10 @@ def test_fidelity_sbr_curve_validation():
         fidelity_sbr_curve(0.055, 0.0, 20, [1.0])
 
 
-def test_mc_oracle_agrees_with_model():
+def test_mc_oracle_agrees_with_model(base=101):
     trials = 400_000
-    for seed, params in [(101, STANDARD_PARAMS), (102, NoiseModelParams(eta=0.6, p=1.0, q=0.4))]:
+    other = NoiseModelParams(eta=0.6, p=1.0, q=0.4)
+    for seed, params in [(base, STANDARD_PARAMS), (base + 1, other)]:
         probs = detection_probs(params)
         est = mc_detection_oracle(params, trials, seed)
         for model_v, est_v in [

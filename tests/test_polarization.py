@@ -234,8 +234,8 @@ def test_fit_stokes_recovers_scaled_intensity():
     assert_allclose(vec.vec3, s.vec3, atol=1e-9)
 
 
-def test_fit_stokes_poisson_noise_within_three_sigma():
-    rng = np.random.default_rng(5)
+def test_fit_stokes_poisson_noise_within_three_sigma(base=5):
+    rng = np.random.default_rng(base)
     angles = np.linspace(0, math.pi, 16)
     pulses = 10_000
     level = 0.08  # mean counts per pulse at s0
