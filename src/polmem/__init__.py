@@ -37,8 +37,6 @@ from .noise_model import (
     detection_probs,
     fidelity_sbr_curve,
     mc_detection_oracle,
-    model_fidelity,
-    model_sbr,
 )
 from .memory_sim import (
     MemoryConfig,

@@ -35,7 +35,7 @@ from .memory_sim import (
     simulate_polarimetry_sweep,
     simulate_reference,
 )
-from .noise_model import NoiseModelParams, model_fidelity, model_sbr
+from .noise_model import fidelity_sbr_curve
 from .polarization import (
     CANONICAL_STATES,
     STATE_NAMES,
@@ -185,10 +185,7 @@ def cmd_model_curve(args) -> int:
     if not 0 < args.p_min <= args.p_max < math.inf:
         raise ConfigError("need 0 < p-min <= p-max < inf")
     grid = np.linspace(args.p_min, args.p_max, args.p_points)
-    rows = []
-    for p in grid:
-        params = NoiseModelParams(eta=args.eta, p=float(p), q=args.q, n_max=args.n_max)
-        rows.append((float(p), model_sbr(params), model_fidelity(params)))
+    rows = fidelity_sbr_curve(args.eta, args.q, args.n_max, grid)
     if args.format == "json":
         text = _json_text([{"p": p, "sbr": s, "fidelity": f} for p, s, f in rows])
     else:

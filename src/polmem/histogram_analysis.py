@@ -81,21 +81,27 @@ def sbr(storage: ArrivalHistogram, roi: Window, bg: Window) -> float:
 
 
 def _fit_exp_model(g: np.ndarray, y: np.ndarray, sigma: np.ndarray):
-    """Weighted least-squares fit of y = a exp(b g); returns (a, b, cov, residual_norm).
+    """Weighted least-squares fit of y = a exp(b g); returns (a, b, a_err, b_err, residual_norm).
 
-    Starts from the weighted straight-line fit of ln y over the points with
-    y > 0, then iterates Gauss-Newton with the analytic Jacobian, halving any
-    step that raises the cost, until a step moves the fit by less than 1e-9
-    standard deviations.  Sigmas are absolute (non-positive ones count as
-    unit): cov is inv(J^T J) of the sigma-weighted Jacobian at the solution.
+    Fits y = c exp(b (g - gm)) about the 1/sigma^2-weighted mean abscissa gm,
+    so how far g lies from 0 does not matter.  Starts from the weighted
+    straight-line fit of ln y over the points with y > 0, then iterates
+    Gauss-Newton with the analytic Jacobian, halving any step that raises the
+    cost, until a step moves the fit by less than 1e-9 standard deviations.
+    Sigmas are absolute (non-positive ones count as unit): cov is inv(J^T J)
+    of the sigma-weighted Jacobian at the solution.  a = c exp(-b gm) and its
+    stderr follow by the delta method; they must be finite floats.
     """
     if not all(np.all(np.isfinite(v)) for v in (g, y, sigma)):
         raise DataError("fit inputs must be finite")
     sigma = np.where(sigma > 0, sigma, 1.0)
+    inv_var = (sigma.min() / sigma) ** 2  # 1/sigma^2, scaled so that it cannot overflow
+    gm = float(inv_var @ g / inv_var.sum())
+    g = g - gm
     pos = y > 0
-    # ln y = ln a + b g, weighted by the propagated log-error y/sigma
+    # ln y = ln c + b g, weighted by the propagated log-error y/sigma
     w = y[pos] / sigma[pos]
-    (log_a, b), _, rank, _ = np.linalg.lstsq(
+    (log_c, b), _, rank, _ = np.linalg.lstsq(
         np.column_stack([w, w * g[pos]]), w * np.log(y[pos]), rcond=None
     )
     if rank < 2:
@@ -104,10 +110,10 @@ def _fit_exp_model(g: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     def residuals(theta):
         return (theta[0] * np.exp(theta[1] * g) - y) / sigma
 
-    theta = np.array([np.exp(log_a), b])
+    theta = np.array([np.exp(log_c), b])
     r = residuals(theta)
     if not np.all(np.isfinite(r)):
-        raise FitError(f"the log-linear start (ln a={log_a}, b={b}) overflows the model")
+        raise FitError(f"the log-linear start (ln c={log_c}, b={b}) overflows the model")
     for _ in range(100):
         e = np.exp(theta[1] * g) / sigma
         jac = np.column_stack([e, theta[0] * g * e])
@@ -121,10 +127,15 @@ def _fit_exp_model(g: np.ndarray, y: np.ndarray, sigma: np.ndarray):
         theta, r = theta + step, r_step
     else:
         raise FitError("weighted fit did not converge in 100 Gauss-Newton steps")
-    a, b = float(theta[0]), float(theta[1])
-    if not a > 0:
-        raise FitError(f"fit left the model region (a={a}, b={b})")
-    return a, b, np.linalg.inv(jac.T @ jac), float(np.linalg.norm(r))
+    c, b = theta
+    cov = np.linalg.inv(jac.T @ jac)
+    with np.errstate(all="ignore"):  # a value beyond the float range fails below
+        grad = np.array([1.0 / c, -gm])  # of ln a = ln c - b gm
+        a = c * np.exp(-b * gm)
+        a_err, b_err = a * np.sqrt(grad @ cov @ grad), np.sqrt(cov[1, 1])
+    if not (0 < a < np.inf and np.all(np.isfinite([a_err, b_err]))):
+        raise FitError(f"amplitude {a} +- {a_err} at g = 0 is not a finite float > 0 (b={b})")
+    return float(a), float(b), float(a_err), float(b_err), float(np.linalg.norm(r))
 
 
 def fit_exponential_decay(series: SweepSeries) -> FitResult:
@@ -139,13 +150,13 @@ def fit_exponential_decay(series: SweepSeries) -> FitResult:
         raise DataError(f"need at least 3 points, got {len(t)}")
     if np.any(y <= 0):
         raise DataError("decay fit needs strictly positive values")
-    a, b, cov, residual_norm = _fit_exp_model(t, y, series.y_err)
+    a, b, a_err, b_err, residual_norm = _fit_exp_model(t, y, series.y_err)
     if b >= -1e-12 * max(abs(math.log(a)), 1.0):
         raise FitError("no decay detected; 1/e time is unbounded")
     tau = -1.0 / b
     return FitResult(
         params={"amplitude": a, "tau": tau},
-        stderr={"amplitude": math.sqrt(cov[0, 0]), "tau": tau**2 * math.sqrt(cov[1, 1])},
+        stderr={"amplitude": a_err, "tau": tau**2 * b_err},
         residual_norm=residual_norm,
         n_points=len(t),
     )
@@ -172,10 +183,10 @@ def fit_sqrt_background(background: SweepSeries, technical: SweepSeries) -> FitR
         raise DataError("subtracted series has no positive values to fit")
 
     use = p > 0
-    a, c, cov, residual_norm = _fit_exp_model(np.log(p[use]), d[use], sigma[use])
+    a, c, a_err, c_err, residual_norm = _fit_exp_model(np.log(p[use]), d[use], sigma[use])
     return FitResult(
         params={"a": a, "c": c},
-        stderr={"a": math.sqrt(cov[0, 0]), "c": math.sqrt(cov[1, 1])},
+        stderr={"a": a_err, "c": c_err},
         residual_norm=residual_norm,
         n_points=int(use.sum()),
     )

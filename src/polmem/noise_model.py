@@ -54,6 +54,24 @@ class DetectionProbs:
         if self.p_signal + self.p_background > 1.0 + 1e-12:
             raise DataError("detection probabilities sum above 1")
 
+    @property
+    def sbr(self) -> float:
+        """Signal-to-background ratio P_s / P_bg."""
+        if self.p_background == 0.0:
+            raise UndefinedRatioError("background mean q = 0 gives an infinite ratio")
+        return self.p_signal / self.p_background
+
+    @property
+    def fidelity(self) -> float:
+        """Fidelity conditioned on a detection: (P_s + P_bg/2) / (P_s + P_bg).
+
+        A detected background photon is unpolarized and contributes 1/2.
+        """
+        denom = self.p_signal + self.p_background
+        if denom == 0.0:
+            raise UndefinedRatioError("no detections possible: eta*p and q are both zero")
+        return (self.p_signal + 0.5 * self.p_background) / denom
+
 
 # Cephes lgam: log sqrt(2 pi), and the Stirling-series coefficients for x < 1000
 _LS2PI = 0.91893853320467274178
@@ -109,30 +127,10 @@ def detection_probs(params: NoiseModelParams) -> DetectionProbs:
     return DetectionProbs(p_sig, p_bg)
 
 
-def model_fidelity(params: NoiseModelParams) -> float:
-    """Fidelity conditioned on a detection: (P_s + P_bg/2) / (P_s + P_bg).
-
-    A detected background photon is unpolarized and contributes 1/2.
-    """
-    probs = detection_probs(params)
-    denom = probs.p_signal + probs.p_background
-    if denom == 0.0:
-        raise UndefinedRatioError("no detections possible: eta*p and q are both zero")
-    return (probs.p_signal + 0.5 * probs.p_background) / denom
-
-
-def model_sbr(params: NoiseModelParams) -> float:
-    """Signal-to-background ratio P_s / P_bg of the detection model."""
-    probs = detection_probs(params)
-    if probs.p_background == 0.0:
-        raise UndefinedRatioError("background mean q = 0 gives an infinite ratio")
-    return probs.p_signal / probs.p_background
-
-
 def fidelity_sbr_curve(
     eta: float, q: float, n_max: int, p_grid: list[float]
-) -> list[tuple[float, float]]:
-    """(sbr, fidelity) pairs for each input photon mean in p_grid, in SBR order."""
+) -> list[tuple[float, float, float]]:
+    """(p, sbr, fidelity) rows for each input photon mean in p_grid, in grid order."""
     p_arr = np.asarray(p_grid, dtype=float)
     if p_arr.size == 0:
         raise DataError("p_grid must not be empty")
@@ -140,12 +138,11 @@ def fidelity_sbr_curve(
         raise DataError("p_grid values must be positive")
     if np.any(np.diff(p_arr) <= 0):
         raise DataError("p_grid must be strictly ascending")
-    points = []
+    rows = []
     for p in p_arr:
-        params = NoiseModelParams(eta=eta, p=float(p), q=q, n_max=n_max)
-        points.append((model_sbr(params), model_fidelity(params)))
-    points.sort(key=lambda t: t[0])
-    return points
+        probs = detection_probs(NoiseModelParams(eta=eta, p=float(p), q=q, n_max=n_max))
+        rows.append((float(p), probs.sbr, probs.fidelity))
+    return rows
 
 
 def mc_detection_oracle(

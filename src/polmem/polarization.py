@@ -64,12 +64,6 @@ class StokesVector:
     def to_json(self) -> list[float]:
         return [self.s0, self.s1, self.s2, self.s3]
 
-    @classmethod
-    def from_json(cls, data) -> "StokesVector":
-        if len(data) != 4:
-            raise DataError(f"Stokes vector needs 4 components, got {len(data)}")
-        return cls(*(float(x) for x in data))
-
 
 @dataclass(frozen=True)
 class QubitAngles:

@@ -139,8 +139,8 @@ def test_criterion_4_fidelity_sbr_curve():
     """Monotone, bounded in [0.5, 1], ->1 as q->0, equals (R+1/2)/(R+1) at small means."""
     grid = list(np.linspace(0.05, 20.0, 60))
     curve = pm.fidelity_sbr_curve(0.055, 0.005, 20, grid)
-    sbrs = np.array([c[0] for c in curve])
-    fids = np.array([c[1] for c in curve])
+    sbrs = np.array([c[1] for c in curve])
+    fids = np.array([c[2] for c in curve])
     assert np.all(np.diff(sbrs) > 0)
     assert np.all(np.diff(fids) >= -1e-12), "curve must be monotone nondecreasing"
     assert np.all((fids >= 0.5) & (fids <= 1.0))
@@ -149,10 +149,10 @@ def test_criterion_4_fidelity_sbr_curve():
     assert worst <= 1e-3, f"small-mean identity violated by {worst}"
     # q -> 0 limit: fidelities approach 1
     near_unit = pm.fidelity_sbr_curve(0.055, 1e-6, 20, grid)
-    assert min(f for _, f in near_unit) > 0.999
+    assert min(f for _, _, f in near_unit) > 0.999
     print(
         f"[criterion 4] PASS — monotone in [0.5, 1], max |F - (R+1/2)/(R+1)| = "
-        f"{worst:.2e} (<= 1e-3), min F at q=1e-6 is {min(f for _, f in near_unit):.6f}"
+        f"{worst:.2e} (<= 1e-3), min F at q=1e-6 is {min(f for _, _, f in near_unit):.6f}"
     )
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import polmem as pm
+from polmem import noise_model
 from polmem.cli import main
 from polmem.memory_sim import DECAY_SCAN_STATE, SweepSeries
 from polmem.polarization import read_polarimetry_csv, write_polarimetry_csv
@@ -250,6 +251,32 @@ def test_model_curve_json_format(tmp_path):
     assert set(rows[0]) == {"p", "sbr", "fidelity"}
 
 
+def test_model_curve_is_fidelity_sbr_curve(tmp_path, monkeypatch):
+    calls = []
+    model = noise_model.detection_probs
+
+    def counted(params):
+        calls.append(params)
+        return model(params)
+
+    monkeypatch.setattr(noise_model, "detection_probs", counted)
+    out = tmp_path / "curve.json"
+    assert run("model-curve", "--format", "json", "--out", out) == 0
+    assert len(calls) == 50  # one model evaluation per point
+    rows = pm.fidelity_sbr_curve(0.055, 0.005, 20, np.linspace(0.1, 20, 50))
+    assert json.loads(out.read_text()) == [
+        {"p": p, "sbr": s, "fidelity": f} for p, s, f in rows
+    ]
+
+
+def test_model_curve_repeated_point_exit_2(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert run("model-curve", "--p-min", 1.6, "--p-max", 1.6, "--p-points", 3,
+               "--out", out) == 2
+    assert "strictly ascending" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- fit
 
 
@@ -263,6 +290,29 @@ def test_fit_decay_recovers_tau(tmp_path, cfg_path, capsys):
     result = json.loads(out.read_text())
     assert result["params"]["tau"] == pytest.approx(19.3, rel=0.05)
     assert capsys.readouterr().out  # result echoed to stdout
+
+
+def _shifted_decay_csv(path, t0):
+    dt = np.linspace(0.0, 35.0, 8)
+    y = 0.05 * np.exp(-dt / 19.3) * (1 + np.random.default_rng(1).normal(0.0, 0.02, 8))
+    SweepSeries(t0 + dt, y, 0.02 * y, "storage_time_us", "efficiency").save_csv(path)
+    return path
+
+
+def test_fit_decay_far_from_time_zero(tmp_path):
+    series = _shifted_decay_csv(tmp_path / "late.csv", 10_000.0)
+    out = tmp_path / "fit.json"
+    assert run("fit", "--kind", "decay", "--series", series, "--out", out) == 0
+    assert json.loads(out.read_text())["params"]["tau"] == pytest.approx(19.3, rel=0.05)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_decay_unrepresentable_amplitude_exit_3(tmp_path, capsys):
+    series = _shifted_decay_csv(tmp_path / "later.csv", 1e6)
+    out = tmp_path / "fit.json"
+    assert run("fit", "--kind", "decay", "--series", series, "--out", out) == 3
+    assert "not a finite float" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_background_recovers_sqrt(tmp_path, tmp_path_factory):

@@ -182,6 +182,19 @@ def test_decay_fit_growing_series_rejected():
         fit_exponential_decay(SweepSeries(t, 0.01 * np.exp(t / 5.0), np.zeros(5)))
 
 
+def shifted_decay(t0):
+    """Eight noisy points of a 19.3-us decay starting at t0, 2% errors."""
+    dt = np.linspace(0.0, 35.0, 8)
+    y = 0.05 * np.exp(-dt / 19.3) * (1 + np.random.default_rng(1).normal(0.0, 0.02, 8))
+    return SweepSeries(t0 + dt, y, 0.02 * y, "storage_time_us", "efficiency")
+
+
+def test_decay_fit_independent_of_time_origin():
+    taus = [fit_exponential_decay(shifted_decay(t0)).params["tau"]
+            for t0 in (0.0, 200.0, 2000.0, 5000.0, 10000.0)]
+    assert taus == pytest.approx([taus[0]] * len(taus), rel=1e-9)
+
+
 # ---------------------------------------------------- both sweep fits
 
 

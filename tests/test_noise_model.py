@@ -26,8 +26,6 @@ from polmem.noise_model import (
     detection_probs,
     fidelity_sbr_curve,
     mc_detection_oracle,
-    model_fidelity,
-    model_sbr,
 )
 from polmem.streams import chunk_layout
 
@@ -135,25 +133,27 @@ def test_degenerate_corners():
 
 
 def test_model_fidelity_and_sbr():
-    assert math.isclose(model_fidelity(STANDARD_PARAMS), FIDELITY_STD, rel_tol=1e-12)
+    probs = detection_probs(STANDARD_PARAMS)
+    assert math.isclose(probs.fidelity, FIDELITY_STD, rel_tol=1e-12)
     # R = eta p / q is exact for the model, independent of truncation
-    assert math.isclose(model_sbr(STANDARD_PARAMS), 0.055 * 1.6 / 0.005, rel_tol=1e-12)
-    r = model_sbr(STANDARD_PARAMS)
-    assert math.isclose(model_fidelity(STANDARD_PARAMS), (r + 0.5) / (r + 1.0), rel_tol=1e-12)
-    with pytest.raises(UndefinedRatioError):
-        model_sbr(NoiseModelParams(eta=0.5, p=1.0, q=0.0))
-    with pytest.raises(UndefinedRatioError):
-        model_fidelity(NoiseModelParams(eta=0.0, p=1.0, q=0.0))
+    assert math.isclose(probs.sbr, 0.055 * 1.6 / 0.005, rel_tol=1e-12)
+    r = probs.sbr
+    assert math.isclose(probs.fidelity, (r + 0.5) / (r + 1.0), rel_tol=1e-12)
+    with pytest.raises(UndefinedRatioError, match="infinite ratio"):
+        detection_probs(NoiseModelParams(eta=0.5, p=1.0, q=0.0)).sbr
+    with pytest.raises(UndefinedRatioError, match="no detections possible"):
+        detection_probs(NoiseModelParams(eta=0.0, p=1.0, q=0.0)).fidelity
     # background only: every detection is a coin flip
     assert math.isclose(
-        model_fidelity(NoiseModelParams(eta=0.0, p=1.0, q=0.3)), 0.5, rel_tol=1e-12
+        detection_probs(NoiseModelParams(eta=0.0, p=1.0, q=0.3)).fidelity, 0.5, rel_tol=1e-12
     )
 
 
 def test_fidelity_sbr_curve_properties():
-    curve = fidelity_sbr_curve(0.055, 0.005, 20, list(np.linspace(0.05, 20, 30)))
-    sbrs = np.array([c[0] for c in curve])
-    fids = np.array([c[1] for c in curve])
+    grid = np.linspace(0.05, 20, 30)
+    curve = fidelity_sbr_curve(0.055, 0.005, 20, list(grid))
+    ps, sbrs, fids = (np.array(col) for col in zip(*curve))
+    assert np.array_equal(ps, grid)  # rows in grid order
     assert np.all(np.diff(sbrs) > 0)
     assert np.all(np.diff(fids) >= -1e-12)
     assert np.all((fids >= 0.5) & (fids <= 1.0))
@@ -168,6 +168,8 @@ def test_fidelity_sbr_curve_validation():
         fidelity_sbr_curve(0.055, 0.005, 20, [0.0, 1.0])
     with pytest.raises(DataError):
         fidelity_sbr_curve(0.055, 0.005, 20, [1.0, 0.5])
+    with pytest.raises(DataError):
+        fidelity_sbr_curve(0.055, 0.005, 20, [1.0, 1.0])
     with pytest.raises(UndefinedRatioError):
         fidelity_sbr_curve(0.055, 0.0, 20, [1.0])
 
