@@ -103,13 +103,11 @@ def cmd_simulate(args) -> int:
         state = _state(args.state)
         analyzer = math.radians(args.analyzer) if args.analyzer is not None else None
         hist = simulate_histogram(
-            config, state, analyzer, args.trials, args.seed,
-            workers=args.workers, label=f"storage:{args.state}",
+            config, state, analyzer, args.trials, args.seed, label=f"storage:{args.state}"
         )
         hist.save(args.out)
     elif args.kind == "reference":
-        hist = simulate_reference(config, args.trials, args.seed, workers=args.workers)
-        hist.save(args.out)
+        simulate_reference(config, args.trials, args.seed).save(args.out)
     elif args.kind == "polarimetry":
         if args.angles:
             angles = [math.radians(a) for a in _float_list(args.angles, "--angles")]
@@ -166,6 +164,8 @@ def cmd_analyze(args) -> int:
         except DataError as exc:
             raise type(exc)(f"storage histogram for {name} ({path}): {exc}") from exc
     reference = ArrivalHistogram.load(args.reference)
+    if reference.total() == 0:  # storage_efficiency's check, made here where the file is known
+        raise DataError(f"reference histogram ({args.reference}) is empty")
     measured = {}
     for name, path in _parse_state_paths(args.stokes, "--stokes").items():
         sweep = read_polarimetry_csv(path)
@@ -197,10 +197,8 @@ def cmd_model_curve(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.kind in ("decay", "background") and not args.series:
+    if not args.series:
         raise ConfigError(f"--kind {args.kind} requires --series")
-    if args.kind == "stokes" and not args.samples:
-        raise ConfigError("--kind stokes requires --samples")
     extra = {}
     if args.kind == "decay":
         result = fit_exponential_decay(SweepSeries.load_csv(args.series))
@@ -210,12 +208,12 @@ def cmd_fit(args) -> int:
         result = fit_sqrt_background(
             SweepSeries.load_csv(args.series), SweepSeries.load_csv(args.technical)
         )
-    else:  # stokes always emits JSON (structured Stokes payload)
-        vec, result = fit_stokes(read_polarimetry_csv(args.samples))
+    else:
+        vec, result = fit_stokes(read_polarimetry_csv(args.series))
         extra = {"stokes_normalized": vec.to_json()}
-    if args.format == "csv" and args.kind != "stokes":
+    if args.format == "csv":
         lines = ["param,value,stderr"]
-        lines += [f"{k},{v!r},{result.stderr[k]!r}" for k, v in result.params.items()]
+        lines += [f"{k},{float(v)!r},{float(result.stderr[k])!r}" for k, v in result.params.items()]
         text = "\n".join(lines) + "\n"
     else:
         text = _json_text({**result.to_dict(), **extra})
@@ -241,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, required=True,
                        help="pulses (per angle/point for sweep kinds)")
     p_sim.add_argument("--seed", type=_int_at_least(0), required=True)
-    p_sim.add_argument("--workers", type=_int_at_least(1), default=1)
     p_sim.add_argument("--angles", default=None,
                        help="comma-separated plate angles in degrees (polarimetry kind)")
     p_sim.add_argument("--times", default=None,
@@ -276,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="run an estimation fit on a saved dataset")
     p_fit.add_argument("--kind", choices=("decay", "background", "stokes"), required=True)
-    p_fit.add_argument("--series", default=None, help="sweep CSV (decay/background)")
+    p_fit.add_argument("--series", default=None,
+                       help="sweep CSV: decay, background, or polarimetry (stokes)")
     p_fit.add_argument("--technical", default=None, help="technical sweep CSV (background)")
-    p_fit.add_argument("--samples", default=None, help="polarimetry CSV (stokes)")
     p_fit.add_argument("--format", choices=("json", "csv"), default="json")
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)

@@ -44,27 +44,6 @@ def _finite(text: str, where: str) -> float:
     raise DataError(f"{where}: {text!r} is not a finite number")
 
 
-def read_csv(path, header=None) -> tuple[list, np.ndarray]:
-    """The header row and a float array of the rows after it.  Every row must
-    be as wide as the header, every field a finite number; header, if given,
-    is the header required."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            top = next(reader, None)
-            if top is None or top != (header or top):
-                raise DataError(f"{path}: expected header {header or 'row'}, got {top}")
-            rows = []
-            for row in reader:
-                where = f"{path}, line {reader.line_num}"
-                if len(row) != len(top):
-                    raise DataError(f"{where}: {len(row)} fields, the header has {len(top)}")
-                rows.append([_finite(v, f"{where}, field {name!r}") for name, v in zip(top, row)])
-    except (OSError, ValueError, csv.Error) as exc:  # ValueError: bad UTF-8
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return top, np.array(rows, dtype=float).reshape(len(rows), len(top))
-
-
 def write_text(path, text: str) -> None:
     """Write text into a temp file renamed over path; the temp file is removed
     if the write or the rename fails."""
@@ -77,13 +56,6 @@ def write_text(path, text: str) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
-
-
-def write_csv(path, header, rows) -> None:
-    """Write a header row and rows of numbers, each as repr(float(v))."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows([header, *([repr(float(v)) for v in row] for row in rows)])
-    write_text(path, buf.getvalue())
 
 
 @dataclass(frozen=True)
@@ -128,10 +100,6 @@ class ArrivalHistogram:
         self.counts = counts.astype(np.int64, copy=False)
         if np.any(self.counts < 0):
             raise DataError("counts must be nonnegative")
-
-    @property
-    def t_max(self) -> float:
-        return self.t_start + len(self.counts) * self.bin_width
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -191,12 +159,32 @@ class SweepSeries:
         return len(self.x)
 
     def save_csv(self, path) -> None:
-        """CSV with header `<x_name>,<y_name>,y_err`; full-precision floats."""
-        write_csv(path, [self.x_name, self.y_name, "y_err"], zip(self.x, self.y, self.y_err))
+        """CSV with header `<x_name>,<y_name>,y_err`, one row per point, each
+        number as repr(float)."""
+        buf = io.StringIO()
+        rows = ([repr(float(v)) for v in row] for row in zip(self.x, self.y, self.y_err))
+        csv.writer(buf).writerows([[self.x_name, self.y_name, "y_err"], *rows])
+        write_text(path, buf.getvalue())
 
     @classmethod
     def load_csv(cls, path) -> "SweepSeries":
-        header, body = read_csv(path)
-        if len(header) != 3 or header[2] != "y_err":
-            raise DataError(f"{path} is not a sweep CSV (expected 3 columns ending in y_err)")
-        return cls(body[:, 0], body[:, 1], body[:, 2], header[0], header[1])
+        """Read a sweep CSV: a header `<x_name>,<y_name>,y_err`, then rows of
+        three finite numbers."""
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None or len(header) != 3 or header[2] != "y_err":
+                    raise DataError(f"{path} is not a sweep CSV (expected 3 columns ending in "
+                                    f"y_err, got header {header})")
+                rows = []
+                for row in reader:
+                    where = f"{path}, line {reader.line_num}"
+                    if len(row) != 3:
+                        raise DataError(f"{where}: {len(row)} fields, the header has 3")
+                    rows.append([_finite(v, f"{where}, field {name!r}")
+                                 for name, v in zip(header, row)])
+        except (OSError, ValueError, csv.Error) as exc:  # ValueError: bad UTF-8
+            raise DataError(f"cannot read {path}: {exc}") from exc
+        x, y, y_err = np.array(rows, dtype=float).reshape(len(rows), 3).T
+        return cls(x, y, y_err, header[0], header[1])

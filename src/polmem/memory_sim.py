@@ -256,14 +256,12 @@ def simulate_histogram(
     return _simulate_arrivals(config, sources, trials, seed, workers, label)
 
 
-def simulate_reference(
-    config: MemoryConfig, trials: int, seed, workers: int = 1
-) -> ArrivalHistogram:
+def simulate_reference(config: MemoryConfig, trials: int, seed) -> ArrivalHistogram:
     """Transmitted-probe histogram: the input pulse, clipped to the record,
     with no storage and no background."""
     source = ("input mean (chain * p_in)", config.chain * config.p_in,
               _bin_mass(config, 0.0, min(INPUT_PULSE_US, config.t_max)))
-    return _simulate_arrivals(config, [source], trials, seed, workers, "reference")
+    return _simulate_arrivals(config, [source], trials, seed, 1, "reference")
 
 
 def simulate_polarimetry_sweep(

@@ -58,7 +58,7 @@ class DetectionProbs:
     def sbr(self) -> float:
         """Signal-to-background ratio P_s / P_bg."""
         if self.p_background == 0.0:
-            raise UndefinedRatioError("background mean q = 0 gives an infinite ratio")
+            raise UndefinedRatioError("no background detections (p_background = 0): infinite ratio")
         return self.p_signal / self.p_background
 
     @property

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SweepSeries, read_csv, write_csv
+from .data import SweepSeries
 from .errors import DataError, DegenerateGeometryError, FitError, IllConditionedFitError
 from .fitting import FitResult
 
 DOP_TOL = 1e-9
 STATE_NAMES = ("H", "V", "D", "A", "R", "L")
-_POLARIMETRY_HEADER = ["qwp_angle_deg", "intensity"]
 
 
 @dataclass(frozen=True)
@@ -269,16 +268,20 @@ def fit_rotation(inputs: list[StokesVector], targets: list[StokesVector]) -> Rot
 
 
 def write_polarimetry_csv(path, sweep: SweepSeries) -> None:
-    """Write a sweep as CSV with header qwp_angle_deg,intensity (angles in degrees)."""
-    write_csv(path, _POLARIMETRY_HEADER, zip(np.degrees(sweep.x), sweep.y))
+    """Save a sweep as a sweep CSV `qwp_angle_deg,intensity,y_err` (angles in degrees)."""
+    degrees = SweepSeries(np.degrees(sweep.x), sweep.y, sweep.y_err, "qwp_angle_deg", "intensity")
+    degrees.save_csv(path)
 
 
 def read_polarimetry_csv(path) -> SweepSeries:
-    """Read a sweep written by write_polarimetry_csv: angles in radians, zero y_err."""
-    _, body = read_csv(path, _POLARIMETRY_HEADER)
+    """Read a sweep written by write_polarimetry_csv, with angles in radians."""
+    sweep = SweepSeries.load_csv(path)
     try:
-        _check_intensities(body[:, 1])
+        if (sweep.x_name, sweep.y_name) != ("qwp_angle_deg", "intensity"):
+            raise DataError(f"expected header qwp_angle_deg,intensity,y_err, "
+                            f"got {sweep.x_name},{sweep.y_name},y_err")
+        _check_intensities(sweep.y)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    angles, intens = np.radians(body[:, 0]), body[:, 1]
-    return SweepSeries(angles, intens, np.zeros(len(body)), "qwp_angle_rad", "counts_per_pulse")
+    angles = np.radians(sweep.x)
+    return SweepSeries(angles, sweep.y, sweep.y_err, "qwp_angle_rad", "counts_per_pulse")

@@ -1,5 +1,6 @@
 """Command-line round trips, exit codes, determinism, and golden regressions."""
 
+import argparse
 import importlib.util
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import polmem as pm
 from polmem import noise_model
-from polmem.cli import main
+from polmem.cli import build_parser, main
 from polmem.memory_sim import DECAY_SCAN_STATE, SweepSeries
 from polmem.polarization import read_polarimetry_csv, write_polarimetry_csv
 
@@ -55,10 +56,9 @@ def test_simulate_six_state_batch(tmp_path, cfg_path):
 
 def test_simulate_rerun_byte_identical(tmp_path, cfg_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for out, workers in ((a, 1), (b, 6)):
+    for out in (a, b):
         assert run("simulate", "--config", cfg_path, "--state", "D",
-                   "--trials", 300_000, "--seed", 77, "--workers", workers,
-                   "--out", out) == 0
+                   "--trials", 300_000, "--seed", 77, "--out", out) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -109,6 +109,20 @@ def test_simulate_polarimetry_kind_round_trips(tmp_path, sym_cfg_path):
                "--noiseless", "--out", out) == 0
     sweep = read_polarimetry_csv(out)
     assert len(sweep) == 16
+
+
+def test_simulate_polarimetry_keeps_poisson_errors(tmp_path, sym_cfg_path):
+    out = tmp_path / "sweep.csv"
+    assert run("simulate", "--config", sym_cfg_path, "--kind", "polarimetry",
+               "--state", "D", "--trials", 10_000, "--seed", 3, "--out", out) == 0
+    assert out.read_text().splitlines()[0] == "qwp_angle_deg,intensity,y_err"
+    simulated = pm.simulate_polarimetry_sweep(pm.MemoryConfig.load(sym_cfg_path),
+                                              pm.CANONICAL_STATES["D"],
+                                              np.linspace(0.0, math.pi, 16), 10_000, 3)
+    sweep = read_polarimetry_csv(out)
+    assert np.all(sweep.y_err > 0)
+    assert sweep.y_err.tobytes() == simulated.y_err.tobytes()
+    assert sweep.y.tobytes() == simulated.y.tobytes()
 
 
 def test_simulate_decay_and_background_kinds(tmp_path, cfg_path):
@@ -343,7 +357,7 @@ def test_fit_stokes_identifies_d_state(tmp_path, sym_cfg_path):
                "--state", "D", "--trials", 1000, "--seed", 31,
                "--noiseless", "--out", sweep) == 0
     out = tmp_path / "fit.json"
-    assert run("fit", "--kind", "stokes", "--samples", sweep, "--out", out) == 0
+    assert run("fit", "--kind", "stokes", "--series", sweep, "--out", out) == 0
     result = json.loads(out.read_text())
     s0, s1, s2, s3 = result["stokes_normalized"]
     cfg = pm.MemoryConfig.load(sym_cfg_path)
@@ -361,22 +375,31 @@ def test_fit_stokes_json_keys(tmp_path, sym_cfg_path):
     assert run("simulate", "--config", sym_cfg_path, "--kind", "polarimetry",
                "--state", "D", "--trials", 1000, "--seed", 31, "--out", sweep) == 0
     out = tmp_path / "fit.json"
-    assert run("fit", "--kind", "stokes", "--samples", sweep, "--out", out) == 0
+    assert run("fit", "--kind", "stokes", "--series", sweep, "--out", out) == 0
     result = json.loads(out.read_text())
     assert set(result) == {"params", "stderr", "residual_norm", "n_points", "stokes_normalized"}
     assert set(result["params"]) == set(result["stderr"]) == {"s0", "s1", "s2", "s3"}
     raw = [result["params"][k] for k in ("s0", "s1", "s2", "s3")]
     assert result["stokes_normalized"] == [1.0, *(v / raw[0] for v in raw[1:])]
+    csv_out = tmp_path / "fit.csv"
+    assert run("fit", "--kind", "stokes", "--series", sweep, "--format", "csv",
+               "--out", csv_out) == 0
+    header, *lines = csv_out.read_text().splitlines()
+    assert header == "param,value,stderr"
+    assert [(name, float(v), float(e)) for name, v, e in (line.split(",") for line in lines)] == [
+        (name, result["params"][name], result["stderr"][name]) for name in ("s0", "s1", "s2", "s3")
+    ]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the way to the overflow
 def test_fit_stokes_overflow_exit_3(tmp_path):
     angles = [180.0 * i / 15 for i in range(16)]
-    rows = "".join(f"{a!r},{1e308 * (1 + 0.5 * math.sin(math.radians(a)))!r}\n" for a in angles)
-    samples = tmp_path / "huge.csv"
-    samples.write_text("qwp_angle_deg,intensity\n" + rows)
+    rows = "".join(f"{a!r},{1e308 * (1 + 0.5 * math.sin(math.radians(a)))!r},0.0\n"
+                   for a in angles)
+    sweep = tmp_path / "huge.csv"
+    sweep.write_text("qwp_angle_deg,intensity,y_err\n" + rows)
     out = tmp_path / "fit.json"
-    assert run("fit", "--kind", "stokes", "--samples", samples, "--out", out) == 3
+    assert run("fit", "--kind", "stokes", "--series", sweep, "--out", out) == 3
     assert not out.exists()
 
 
@@ -414,12 +437,11 @@ def test_fit_missing_inputs_exit_2(tmp_path):
     assert run("fit", "--kind", "stokes", "--out", tmp_path / "f.json") == 2
 
 
-@pytest.mark.parametrize("flag,value", [("--seed", -1), ("--workers", 0), ("--workers", -3)])
+@pytest.mark.parametrize("flag,value", [("--seed", -1)])
 def test_simulate_out_of_range_integer_flags_exit_2(tmp_path, cfg_path, capsys, flag, value):
-    ints = {"--seed": 1, "--workers": 1, flag: value}
     with pytest.raises(SystemExit) as exc:
         run("simulate", "--config", cfg_path, "--state", "H", "--trials", 100,
-            "--out", tmp_path / "h.json", *(a for item in ints.items() for a in item))
+            "--out", tmp_path / "h.json", flag, value)
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "h.json").exists()
@@ -490,8 +512,8 @@ def test_background_free_noiseless_sweep_reads_back(tmp_path):
     sweep = tmp_path / "v.csv"
     assert run("simulate", "--config", cfg, "--kind", "polarimetry", "--state", "V",
                "--noiseless", "--trials", 10, "--seed", 1, "--out", sweep) == 0
-    assert sweep.read_text().splitlines()[-1] == "180.0,0.0"
-    assert run("fit", "--kind", "stokes", "--samples", sweep, "--out", tmp_path / "f.json") == 0
+    assert sweep.read_text().splitlines()[-1] == "180.0,0.0,0.0"
+    assert run("fit", "--kind", "stokes", "--series", sweep, "--out", tmp_path / "f.json") == 0
 
 
 @pytest.mark.parametrize("noiseless", [[], ["--noiseless"]], ids=["noisy", "noiseless"])
@@ -515,6 +537,22 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_command_flags_exist():
+    """Every --flag that the README's command-line block shows for
+    `polmem <command>` is accepted by that command's parser."""
+    block = README.read_text(encoding="utf-8").split("## Command line")[1].split("```")[1]
+    commands = [re.sub(r"#.*", "", c) for c in re.split(r"^polmem ", block, flags=re.M)[1:]]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    shown = {}
+    for command in commands:
+        name = command.split()[0]
+        shown.setdefault(name, set()).update(re.findall(r"(?<![\w-])--[a-z][\w-]*", command))
+    assert set(shown) == set(sub.choices)
+    for name, flags in shown.items():
+        accepted = {s for action in sub.choices[name]._actions for s in action.option_strings}
+        assert flags <= accepted, f"polmem {name}: {sorted(flags - accepted)}"
 
 
 def test_readme_pass_rate_table_lists_every_statistical_test():

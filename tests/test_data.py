@@ -114,21 +114,23 @@ ANALYSIS_CASES = {  # a valid file for state H edited so that analysing it fails
     "empty-background-window": (  # bins 120-139 are the 6-7 us background window
         "storage_h", _replace("counts", lambda c: c[:120] + [0] * 20 + c[140:])),
     "seven-angle-sweep": ("stokes_h", lambda lines: lines[:8]),
+    "empty-reference": ("reference", _replace("counts", lambda c: [0] * len(c))),
 }
 
 
 @pytest.mark.parametrize("case", ANALYSIS_CASES)
 def test_analyze_error_names_state_and_file(inputs, tmp_path, capsys, case):
     role, edit = ANALYSIS_CASES[case]
-    if role == "storage_h":
-        bad = _write(tmp_path / "bad.json", edit(json.loads((inputs / "st_H.json").read_text())))
-        what = "storage histogram"
-    else:
+    if role == "stokes_h":
         lines = (inputs / "sw_H.csv").read_text().splitlines(keepends=True)
         bad = _write(tmp_path / "bad.csv", "".join(edit(lines)))
-        what = "polarimetry sweep"
+        what = "polarimetry sweep for H"
+    else:
+        source, what = {"storage_h": ("st_H.json", "storage histogram for H"),
+                        "reference": ("ref.json", "reference histogram")}[role]
+        bad = _write(tmp_path / "bad.json", edit(json.loads((inputs / source).read_text())))
     assert _analyze(inputs, **{role: bad}) == 2
-    assert f"{what} for H ({bad})" in capsys.readouterr().err
+    assert f"{what} ({bad})" in capsys.readouterr().err
 
 
 def _check_csv_rejected(tmp_path, capsys, kind, flag, body, line, field):
@@ -156,16 +158,20 @@ def test_malformed_sweep_csv_exit_2(tmp_path, capsys, case):
 
 
 POLARIMETRY_CASES = {  # body, line and field the message must name
-    "short-row": ("qwp_angle_deg,intensity\n0.0,1.0\n22.5\n", 3, None),
-    "not-a-number": ("qwp_angle_deg,intensity\n0.0,1.0\n22.5,abc\n", 3, "intensity"),
-    "not-utf8": (b"qwp_angle_deg,intensity\n0.0,\xff\n", None, None),
-    "negative-intensity": ("qwp_angle_deg,intensity\n0.0,1.0\n22.5,-1.0\n", None, None),
+    "short-row": ("qwp_angle_deg,intensity,y_err\n0.0,1.0,0.1\n22.5,1.0\n", 3, None),
+    "not-a-number": ("qwp_angle_deg,intensity,y_err\n0.0,1.0,0.1\n22.5,abc,0.1\n", 3,
+                     "intensity"),
+    "not-utf8": (b"qwp_angle_deg,intensity,y_err\n0.0,\xff,0.1\n", None, None),
+    "negative-intensity": ("qwp_angle_deg,intensity,y_err\n0.0,1.0,0.1\n22.5,-1.0,0.1\n",
+                           None, None),
+    "legacy-two-column": ("qwp_angle_deg,intensity\n0.0,1.0\n22.5,1.0\n", None, None),
+    "other-names": ("angle,counts,y_err\n0.0,1.0,0.1\n", None, None),
 }
 
 
 @pytest.mark.parametrize("case", POLARIMETRY_CASES)
 def test_malformed_polarimetry_csv_exit_2(tmp_path, capsys, case):
-    _check_csv_rejected(tmp_path, capsys, "stokes", "--samples", *POLARIMETRY_CASES[case])
+    _check_csv_rejected(tmp_path, capsys, "stokes", "--series", *POLARIMETRY_CASES[case])
 
 
 CONFIG_CASES = {  # body, what the message must name (a command reads one config)
@@ -249,10 +255,10 @@ def test_any_sweep_csv_never_raises(inputs, content):
 
 
 @PROPERTY
-@given(content=FILE | _csv(["qwp_angle_deg", "intensity"]), analyze=st.booleans())
+@given(content=FILE | _csv(["qwp_angle_deg", "intensity", "y_err"]), analyze=st.booleans())
 def test_any_polarimetry_csv_never_raises(inputs, content, analyze):
     path = inputs / "fuzz_pol.csv"
-    argv = ["fit", "--kind", "stokes", "--samples", str(path), "--out", str(inputs / "fit.json")]
+    argv = ["fit", "--kind", "stokes", "--series", str(path), "--out", str(inputs / "fit.json")]
     run = (lambda: _analyze(inputs, stokes_h=path)) if analyze else (lambda: main(argv))
     assert _exit_code(run, path, content) in (0, 2, 3)
 

@@ -296,7 +296,7 @@ _SIMULATOR_CASES = {
     # V at a vertical analyzer rounds to a transmission a hair below zero
     "histogram_analyzer_dark": lambda w: _hist_digest(simulate_histogram(
         MemoryConfig(), V, math.pi / 2, 600_000, 15, workers=w)),
-    "reference": lambda w: _hist_digest(simulate_reference(MemoryConfig(), 600_000, 9, workers=w)),
+    "reference": lambda w: _hist_digest(simulate_reference(MemoryConfig(), 600_000, 9)),
     "decay_series": lambda w: _sweeps_digest(
         simulate_decay_series(MemoryConfig(), [0.0, 5.0, 20.0], 300_000, 10)),
     # the reference pulse is clipped to t_max; several chunks and a partial last one
@@ -427,7 +427,7 @@ def test_reference_total_and_support(base=51):
     assert abs(ref.total() - mean) <= 3 * math.sqrt(mean)
     assert roi_counts(ref, Window(INPUT_PULSE_US, cfg.t_max)) == 0
     assert ref.label == "reference"
-    again = simulate_reference(cfg, trials, base, workers=4)
+    again = simulate_reference(cfg, trials, base)
     assert np.array_equal(ref.counts, again.counts)
 
 
@@ -573,7 +573,7 @@ def test_histogram_json_round_trip(tmp_path):
     assert np.array_equal(back.counts, hist.counts)
     assert back.label == "storage:H"
     assert back.n_trials == hist.n_trials
-    assert back.t_max == pytest.approx(cfg.t_max)
+    assert back.t_start + len(back.counts) * back.bin_width == pytest.approx(cfg.t_max)
     # a second save is byte-identical
     path2 = tmp_path / "h2.json"
     back.save(path2)

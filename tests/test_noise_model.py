@@ -141,6 +141,12 @@ def test_model_fidelity_and_sbr():
     assert math.isclose(probs.fidelity, (r + 0.5) / (r + 1.0), rel_tol=1e-12)
     with pytest.raises(UndefinedRatioError, match="infinite ratio"):
         detection_probs(NoiseModelParams(eta=0.5, p=1.0, q=0.0)).sbr
+    # q > 0, but 100,000 oracle trials at q = 1e-7 detect no background photon
+    oracle = mc_detection_oracle(NoiseModelParams(0.5, 1.0, 1e-7), 100_000, 3)
+    assert oracle.p_background == 0.0
+    with pytest.raises(UndefinedRatioError, match="no background detections") as exc:
+        oracle.sbr
+    assert "q = 0" not in str(exc.value)
     with pytest.raises(UndefinedRatioError, match="no detections possible"):
         detection_probs(NoiseModelParams(eta=0.0, p=1.0, q=0.0)).fidelity
     # background only: every detection is a coin flip

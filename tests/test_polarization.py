@@ -403,7 +403,7 @@ def test_fit_rotation_degenerate_inputs():
 def test_polarimetry_csv_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     angles = np.linspace(0, math.pi, 16)
-    sweep = polarimetry_sweep(angles, rng.random(16))
+    sweep = SweepSeries(angles, rng.random(16), rng.random(16))
     path = tmp_path / "sweep.csv"
     write_polarimetry_csv(path, sweep)
     back = read_polarimetry_csv(path)
@@ -411,15 +411,17 @@ def test_polarimetry_csv_round_trip(tmp_path):
     for orig_a, orig_i, rec_a, rec_i in zip(sweep.x, sweep.y, back.x, back.y):
         assert math.isclose(orig_a, rec_a, abs_tol=1e-15)
         assert orig_i == rec_i
-    assert np.all(back.y_err == 0.0)
+    assert np.array_equal(back.y_err, sweep.y_err)
     header = path.read_text().splitlines()[0]
-    assert header == "qwp_angle_deg,intensity"
+    assert header == "qwp_angle_deg,intensity,y_err"
 
-    # the byte format: degrees and intensities as repr(float), \r\n row ends
+    # the byte format: degrees, intensities and errors as repr(float), \r\n row ends
     small = tmp_path / "small.csv"
-    write_polarimetry_csv(small, polarimetry_sweep([0.0, math.pi / 4, math.pi], [0.5, 0.25, 1e-3]))
+    write_polarimetry_csv(small, SweepSeries([0.0, math.pi / 4, math.pi], [0.5, 0.25, 1e-3],
+                                             [0.01, 0.0, 2e-4]))
     assert small.read_bytes() == (
-        b"qwp_angle_deg,intensity\r\n0.0,0.5\r\n45.0,0.25\r\n180.0,0.001\r\n"
+        b"qwp_angle_deg,intensity,y_err\r\n"
+        b"0.0,0.5,0.01\r\n45.0,0.25,0.0\r\n180.0,0.001,0.0002\r\n"
     )
 
 
