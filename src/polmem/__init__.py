@@ -16,8 +16,7 @@ from .errors import (
     PolmemError,
     UndefinedRatioError,
 )
-from .data import ArrivalHistogram, SweepSeries, Window
-from .fitting import FitResult
+from .data import ArrivalHistogram, FitResult, SweepSeries, Window
 from .polarization import (
     CANONICAL_STATES,
     STATE_NAMES,

@@ -199,7 +199,6 @@ def cmd_model_curve(args) -> int:
 def cmd_fit(args) -> int:
     if not args.series:
         raise ConfigError(f"--kind {args.kind} requires --series")
-    extra = {}
     if args.kind == "decay":
         result = fit_exponential_decay(SweepSeries.load_csv(args.series))
     elif args.kind == "background":
@@ -209,14 +208,13 @@ def cmd_fit(args) -> int:
             SweepSeries.load_csv(args.series), SweepSeries.load_csv(args.technical)
         )
     else:
-        vec, result = fit_stokes(read_polarimetry_csv(args.series))
-        extra = {"stokes_normalized": vec.to_json()}
+        _, result = fit_stokes(read_polarimetry_csv(args.series))
     if args.format == "csv":
         lines = ["param,value,stderr"]
         lines += [f"{k},{float(v)!r},{float(result.stderr[k])!r}" for k, v in result.params.items()]
         text = "\n".join(lines) + "\n"
     else:
-        text = _json_text({**result.to_dict(), **extra})
+        text = _json_text(result.to_dict())
     write_text(args.out, text)
     print(text, end="")
     return 0

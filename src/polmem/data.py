@@ -1,7 +1,8 @@
 """polmem's file formats: how each file is parsed, checked and written.
 
 Configs and histograms are JSON objects; sweeps are CSV files, a header row
-then one row of full-precision numbers (`repr(float)`) per point.  Readers
+then one row of full-precision numbers (`repr(float)`) per point; a fit's
+FitResult is written as JSON or as `param,value,stderr` rows.  Readers
 accept finite numbers only and raise DataError (ConfigError for a config)
 naming the file, and for a CSV the line and field.  Writers are atomic.
 """
@@ -13,7 +14,7 @@ import json
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -188,3 +189,33 @@ class SweepSeries:
             raise DataError(f"cannot read {path}: {exc}") from exc
         x, y, y_err = np.array(rows, dtype=float).reshape(len(rows), 3).T
         return cls(x, y, y_err, header[0], header[1])
+
+
+@dataclass
+class FitResult:
+    """Parameter estimates with per-parameter uncertainties.
+
+    params and stderr share keys, and stderr[k] is the 1-sigma error of
+    params[k] from the fit covariance.  residual_norm is the (weighted)
+    2-norm of the final residual vector.
+    """
+
+    params: dict[str, float]
+    stderr: dict[str, float] = field(default_factory=dict)
+    residual_norm: float = 0.0
+    n_points: int = 0
+
+    def __post_init__(self):
+        for k, v in self.stderr.items():
+            if v < 0:
+                raise ValueError(f"stderr[{k!r}] must be >= 0, got {v}")
+        if self.n_points and self.n_points < len(self.params):
+            raise ValueError("fewer points than parameters")
+
+    def to_dict(self) -> dict:
+        return {
+            "params": dict(self.params),
+            "stderr": dict(self.stderr),
+            "residual_norm": self.residual_norm,
+            "n_points": self.n_points,
+        }

@@ -16,9 +16,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import ArrivalHistogram, SweepSeries, Window
+from .data import ArrivalHistogram, FitResult, SweepSeries, Window
 from .errors import ConfigError, DataError, FitError, UndefinedRatioError
-from .fitting import FitResult
 from .polarization import (
     CANONICAL_STATES,
     STATE_NAMES,

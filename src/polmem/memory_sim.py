@@ -210,8 +210,8 @@ def _simulate_arrivals(config, sources, trials, seed, workers, label) -> Arrival
         check_poisson_mean(what, mean, trials)
     check_poisson_mean("total mean", sum(mean for _, mean, _ in sources), trials)
     lam = sum(mean * mass for _, mean, mass in sources)
-    counts = np.sum(map_chunks(lambda rng, size: rng.poisson(size * lam), trials, seed, workers),
-                    axis=0)
+    # sum() adds chunk by chunk; np.sum would first stack every chunk's counts
+    counts = sum(map_chunks(lambda rng, size: rng.poisson(size * lam), trials, seed, workers))
     return ArrivalHistogram(0.0, config.bin_width, counts, trials, label)
 
 

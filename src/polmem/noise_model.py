@@ -69,7 +69,7 @@ class DetectionProbs:
         """
         denom = self.p_signal + self.p_background
         if denom == 0.0:
-            raise UndefinedRatioError("no detections possible: eta*p and q are both zero")
+            raise UndefinedRatioError("no detections (p_signal + p_background = 0): fidelity undefined")
         return (self.p_signal + 0.5 * self.p_background) / denom
 
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SweepSeries
+from .data import FitResult, SweepSeries
 from .errors import DataError, DegenerateGeometryError, FitError, IllConditionedFitError
-from .fitting import FitResult
 
 DOP_TOL = 1e-9
 STATE_NAMES = ("H", "V", "D", "A", "R", "L")
@@ -59,9 +58,6 @@ class StokesVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.s0, self.s1, self.s2, self.s3])
-
-    def to_json(self) -> list[float]:
-        return [self.s0, self.s1, self.s2, self.s3]
 
 
 @dataclass(frozen=True)
@@ -138,8 +134,9 @@ def fit_stokes(sweep: SweepSeries) -> tuple[StokesVector, FitResult]:
     angles (sweep.x, rad) spanning half a turn; sweep.y holds intensities.
 
     Returns the normalized Stokes vector together with a FitResult whose
-    params hold the raw (per-pulse) components and whose stderr entries for
-    s1..s3 refer to the normalized components (delta method for the ratio).
+    params hold the fitted per-pulse intensity s0 and the vector's s1..s3
+    (s_k / s0); each stderr is its own value's error, by the delta method
+    for the ratios.
     """
     if len(sweep) < 8:
         raise DataError(f"need at least 8 samples, got {len(sweep)}")
@@ -172,27 +169,21 @@ def fit_stokes(sweep: SweepSeries) -> tuple[StokesVector, FitResult]:
     cov_raw = L @ cov_coef @ L.T
 
     s0 = raw[0]
-    norm_err = {}
-    for i, key in enumerate(("s1", "s2", "s3")):
-        j = i + 1
+    params = {"s0": s0}
+    stderr = {"s0": math.sqrt(max(cov_raw[0, 0], 0.0))}
+    for j, key in enumerate(("s1", "s2", "s3"), start=1):
+        params[key] = raw[j] / s0
         var = (
             cov_raw[j, j] / s0**2
             + raw[j] ** 2 * cov_raw[0, 0] / s0**4
             - 2 * raw[j] * cov_raw[0, j] / s0**3
         )
-        norm_err[key] = math.sqrt(max(var, 0.0))
+        stderr[key] = math.sqrt(max(var, 0.0))
 
-    result = FitResult(
-        params={"s0": raw[0], "s1": raw[1], "s2": raw[2], "s3": raw[3]},
-        stderr={"s0": math.sqrt(max(cov_raw[0, 0], 0.0)), **norm_err},
-        residual_norm=residual_norm,
-        n_points=len(sweep),
-    )
-    values = [*result.params.values(), *result.stderr.values(), residual_norm]
-    if not all(math.isfinite(v) for v in values):
+    result = FitResult(params, stderr, residual_norm, len(sweep))
+    if not all(math.isfinite(v) for v in [*params.values(), *stderr.values(), residual_norm]):
         raise FitError("fit overflowed: a Stokes component, stderr or residual is not finite")
-    vec = StokesVector(*raw).normalize()
-    return vec, result
+    return StokesVector(1.0, params["s1"], params["s2"], params["s3"]), result
 
 
 def fidelity(s_in: StokesVector, s_out: StokesVector) -> float:

@@ -149,6 +149,8 @@ def test_simulate_sweep_kinds_require_grids(tmp_path, cfg_path):
                "--trials", 100, "--seed", 1, "--out", tmp_path / "d.csv") == 2
     assert run("simulate", "--config", cfg_path, "--kind", "background",
                "--trials", 100, "--seed", 1, "--out", tmp_path / "b.csv") == 2
+    assert run("simulate", "--config", cfg_path, "--kind", "decay", "--times", "0,x",
+               "--trials", 100, "--seed", 1, "--out", tmp_path / "d.csv") == 2
 
 
 # ----------------------------------------------------------------- analyze
@@ -196,6 +198,10 @@ def test_analyze_missing_state_exit_2(tmp_path, cfg_path):
     pruned = args[:idx] + args[idx + 2:]
     assert run("analyze", "--config", cfg_path, "--reference", tmp_path / "ref.json",
                *pruned, "--out", tmp_path / "r.json") == 2
+    # a pair with no path, or with a name that is no state, is no state's file
+    for pair in ("H", "Q=a.json"):
+        assert run("analyze", "--config", cfg_path, "--reference", tmp_path / "ref.json",
+                   *pruned, "--storage", pair, "--out", tmp_path / "r.json") == 2
 
 
 def test_analyze_schema_violation_exit_2(tmp_path, cfg_path):
@@ -294,14 +300,29 @@ def test_model_curve_repeated_point_exit_2(tmp_path, capsys):
 # -------------------------------------------------------------------- fit
 
 
+def _fit(tmp_path, *flags):
+    """`polmem fit` written as JSON and as CSV: the JSON is the one fit record,
+    and the CSV rows hold the same values and errors.  Returns the JSON."""
+    out, csv_out = tmp_path / "fit.json", tmp_path / "fit.csv"
+    assert run("fit", *flags, "--out", out) == 0
+    assert run("fit", *flags, "--format", "csv", "--out", csv_out) == 0
+    result = json.loads(out.read_text())
+    assert set(result) == {"params", "stderr", "residual_norm", "n_points"}
+    assert list(result["params"]) == list(result["stderr"])
+    header, *lines = csv_out.read_text().splitlines()
+    assert header == "param,value,stderr"
+    assert [(name, float(v), float(e)) for name, v, e in (line.split(",") for line in lines)] == [
+        (name, v, result["stderr"][name]) for name, v in result["params"].items()
+    ]
+    return result
+
+
 def test_fit_decay_recovers_tau(tmp_path, cfg_path, capsys):
     decay = tmp_path / "decay.csv"
     assert run("simulate", "--config", cfg_path, "--kind", "decay",
                "--trials", 400_000, "--seed", 11,
                "--times", "0,5,10,15,20,25,30,35", "--out", decay) == 0
-    out = tmp_path / "fit.json"
-    assert run("fit", "--kind", "decay", "--series", decay, "--out", out) == 0
-    result = json.loads(out.read_text())
+    result = _fit(tmp_path, "--kind", "decay", "--series", decay)
     assert result["params"]["tau"] == pytest.approx(19.3, rel=0.05)
     assert capsys.readouterr().out  # result echoed to stdout
 
@@ -337,18 +358,10 @@ def test_fit_background_recovers_sqrt(tmp_path, tmp_path_factory):
     assert run("simulate", "--config", cfg_file, "--kind", "background",
                "--trials", 2_000_000, "--seed", 21,
                "--powers", "0.5,1,2,4,8,16", "--out", bg) == 0
-    out = tmp_path / "fit.json"
-    assert run("fit", "--kind", "background", "--series", bg,
-               "--technical", tmp_path / "bg.technical.csv", "--out", out) == 0
-    result = json.loads(out.read_text())
+    result = _fit(tmp_path, "--kind", "background", "--series", bg,
+                  "--technical", tmp_path / "bg.technical.csv")
+    assert list(result["params"]) == ["a", "c"]
     assert result["params"]["c"] == pytest.approx(0.5, abs=0.05)
-    csv_out = tmp_path / "fit.csv"
-    assert run("fit", "--kind", "background", "--series", bg, "--technical",
-               tmp_path / "bg.technical.csv", "--format", "csv", "--out", csv_out) == 0
-    rows = [line.split(",") for line in csv_out.read_text().splitlines()[1:]]
-    assert [(name, float(v), float(e)) for name, v, e in rows] == [
-        (name, result["params"][name], result["stderr"][name]) for name in ("a", "c")
-    ]
 
 
 def test_fit_stokes_identifies_d_state(tmp_path, sym_cfg_path):
@@ -359,12 +372,11 @@ def test_fit_stokes_identifies_d_state(tmp_path, sym_cfg_path):
     out = tmp_path / "fit.json"
     assert run("fit", "--kind", "stokes", "--series", sweep, "--out", out) == 0
     result = json.loads(out.read_text())
-    s0, s1, s2, s3 = result["stokes_normalized"]
+    s0, s1, s2, s3 = (result["params"][k] for k in ("s0", "s1", "s2", "s3"))
     cfg = pm.MemoryConfig.load(sym_cfg_path)
-    expected_dop = cfg.signal_mean(pm.CANONICAL_STATES["D"]) / (
-        cfg.signal_mean(pm.CANONICAL_STATES["D"]) + cfg.background_mean()
-    )
-    assert s0 == 1.0
+    signal, background = cfg.signal_mean(pm.CANONICAL_STATES["D"]), cfg.background_mean()
+    expected_dop = signal / (signal + background)
+    assert s0 == pytest.approx(signal + background, rel=1e-9)  # per pulse, not normalized
     assert s1 == pytest.approx(0.0, abs=1e-9)
     assert s3 == pytest.approx(0.0, abs=1e-9)
     assert s2 == pytest.approx(expected_dop, abs=1e-9)
@@ -374,21 +386,11 @@ def test_fit_stokes_json_keys(tmp_path, sym_cfg_path):
     sweep = tmp_path / "sweep.csv"
     assert run("simulate", "--config", sym_cfg_path, "--kind", "polarimetry",
                "--state", "D", "--trials", 1000, "--seed", 31, "--out", sweep) == 0
-    out = tmp_path / "fit.json"
-    assert run("fit", "--kind", "stokes", "--series", sweep, "--out", out) == 0
-    result = json.loads(out.read_text())
-    assert set(result) == {"params", "stderr", "residual_norm", "n_points", "stokes_normalized"}
-    assert set(result["params"]) == set(result["stderr"]) == {"s0", "s1", "s2", "s3"}
-    raw = [result["params"][k] for k in ("s0", "s1", "s2", "s3")]
-    assert result["stokes_normalized"] == [1.0, *(v / raw[0] for v in raw[1:])]
-    csv_out = tmp_path / "fit.csv"
-    assert run("fit", "--kind", "stokes", "--series", sweep, "--format", "csv",
-               "--out", csv_out) == 0
-    header, *lines = csv_out.read_text().splitlines()
-    assert header == "param,value,stderr"
-    assert [(name, float(v), float(e)) for name, v, e in (line.split(",") for line in lines)] == [
-        (name, result["params"][name], result["stderr"][name]) for name in ("s0", "s1", "s2", "s3")
-    ]
+    result = _fit(tmp_path, "--kind", "stokes", "--series", sweep)
+    assert list(result["params"]) == ["s0", "s1", "s2", "s3"]
+    # s1..s3 are the normalized vector that analyze uses
+    vec, _ = pm.fit_stokes(read_polarimetry_csv(sweep))
+    assert [result["params"][k] for k in ("s1", "s2", "s3")] == list(vec.vec3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the way to the overflow
@@ -435,6 +437,8 @@ def test_fit_non_finite_sweep_exit_2(tmp_path):
 def test_fit_missing_inputs_exit_2(tmp_path):
     assert run("fit", "--kind", "decay", "--out", tmp_path / "f.json") == 2
     assert run("fit", "--kind", "stokes", "--out", tmp_path / "f.json") == 2
+    assert run("fit", "--kind", "background", "--series", tmp_path / "bg.csv",
+               "--out", tmp_path / "f.json") == 2
 
 
 @pytest.mark.parametrize("flag,value", [("--seed", -1)])

@@ -4,7 +4,8 @@ Every malformed input file ends the CLI with exit 2 and a message naming the
 file (for a CSV also the line, and the field when one field fails), never
 with a traceback.  The same holds for any config values and plate angles
 given to `simulate`, whose output then holds no NaN or infinity.  The
-package's import graph has no cycle, importing it loads no scipy, only
+package's import graph has no cycle, importing it loads no scipy (nor
+numpy's random module or a thread pool, which only a simulation needs), only
 streams.py touches numpy's random module, and only data.py touches files.
 """
 
@@ -87,6 +88,7 @@ def test_valid_inputs_pass(inputs):
 HISTOGRAM_CASES = {  # which file of a valid analyze set, and how it is edited
     "count-not-a-number": ("storage_h", _replace("counts", lambda c: ["a"] + c[1:])),
     "count-1e30": ("storage_h", _replace("counts", lambda c: [1e30] + c[1:])),
+    "counts-two-dimensional": ("storage_h", _replace("counts", lambda c: [c])),
     "top-level-array": ("storage_h", lambda d: [[1]]),
     "n_trials-string": ("storage_h", _replace("n_trials", lambda n: "x")),
     "t_start-nan": ("storage_h", _replace("t_start_us", lambda t: math.nan)),
@@ -190,6 +192,15 @@ def test_malformed_config_exit_2(tmp_path, capsys, case):
     assert main(["simulate", "--config", str(bad), "--state", "H", "--trials", "10",
                  "--seed", "1", "--out", str(tmp_path / "h.json")]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stderr,n_points,message", [
+    ({"a": -1e-3, "b": 0.0}, 0, "stderr\\['a'\\] must be >= 0"),
+    ({"a": 0.1, "b": 0.2}, 1, "fewer points than parameters"),
+])
+def test_fit_result_rejects_negative_stderr_and_too_few_points(stderr, n_points, message):
+    with pytest.raises(ValueError, match=message):
+        pm.FitResult({"a": 1.0, "b": 2.0}, stderr, 0.0, n_points)
 
 
 # --------------------------------------------- property: never a traceback
@@ -316,9 +327,12 @@ def test_any_plate_angles_never_raise(inputs, analyzer, angles, noiseless):
 
 
 def test_import_loads_no_scipy():
-    """The runtime needs numpy only: scipy is a test-time oracle."""
-    code = ("import sys, polmem, polmem.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    """The runtime needs numpy only: scipy is a test-time oracle.  Nor does an
+    import load numpy's random module or the thread pool (with its logging):
+    only a simulation needs them."""
+    heavy = ("scipy", "numpy.random", "concurrent.futures", "logging")
+    code = (f"import sys, polmem, polmem.cli; print(sorted(m for m in sys.modules "
+            f"if any(m == h or m.startswith(h + '.') for h in {heavy!r})))")
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from polmem import memory_sim
+from polmem import memory_sim, streams
 from polmem.errors import ConfigError, DataError
 from polmem.memory_sim import (
     DECAY_SCAN_STATE,
@@ -226,6 +226,26 @@ def test_histogram_deterministic_across_workers_and_reruns():
     assert np.array_equal(a.counts, c.counts)
     other = simulate_histogram(cfg, D, None, 600_000, 8)
     assert not np.array_equal(a.counts, other.counts)
+
+
+def test_serial_chunks_make_their_generator_when_they_run(monkeypatch):
+    """Only the running chunk holds a generator: chunk i+1's is made after
+    chunk i's kernel returns, so a long run does not build them all first."""
+    events = []
+    make = streams.chunk_rng
+
+    def logged(seed, index):
+        events.append(f"rng {index}")
+        return make(seed, index)
+
+    def kernel(rng, size):
+        events.append("ran")
+        return size
+
+    monkeypatch.setattr(streams, "chunk_rng", logged)
+    sizes = streams.map_chunks(kernel, 3 * CHUNK_TRIALS + 5, 9)
+    assert sizes == [CHUNK_TRIALS] * 3 + [5]
+    assert events == [e for i in range(4) for e in (f"rng {i}", "ran")]
 
 
 def test_background_split_between_rails_indistinguishable(base=41):

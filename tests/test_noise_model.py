@@ -147,8 +147,14 @@ def test_model_fidelity_and_sbr():
     with pytest.raises(UndefinedRatioError, match="no background detections") as exc:
         oracle.sbr
     assert "q = 0" not in str(exc.value)
-    with pytest.raises(UndefinedRatioError, match="no detections possible"):
+    with pytest.raises(UndefinedRatioError, match="no detections"):
         detection_probs(NoiseModelParams(eta=0.0, p=1.0, q=0.0)).fidelity
+    # both means > 0, but 10,000 oracle trials at 1e-7 detect nothing
+    silent = mc_detection_oracle(NoiseModelParams(1.0, 1e-7, 1e-7), 10_000, 3, workers=1)
+    assert silent == DetectionProbs(0.0, 0.0)
+    with pytest.raises(UndefinedRatioError, match="no detections") as exc:
+        silent.fidelity
+    assert "zero" not in str(exc.value)
     # background only: every detection is a coin flip
     assert math.isclose(
         detection_probs(NoiseModelParams(eta=0.0, p=1.0, q=0.3)).fidelity, 0.5, rel_tol=1e-12

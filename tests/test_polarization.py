@@ -5,7 +5,6 @@ independent oracles implemented right here: textbook Mueller matrices for
 the plate + analyzer chain, and 2x2 density matrices for the state algebra.
 """
 
-import json
 import math
 
 import numpy as np
@@ -118,11 +117,6 @@ def test_stokes_vector_rejects_nonpositive_s0():
         StokesVector(-1.0, 0, 0, 0)
 
 
-def test_stokes_vector_json_round_trip():
-    s = StokesVector(1.0, 0.1, -0.2, 0.3)
-    assert json.loads(json.dumps(s.to_json())) == [1.0, 0.1, -0.2, 0.3]
-
-
 def test_qubit_angle_ranges():
     QubitAngles(0.0, -math.pi)
     with pytest.raises(DataError):
@@ -229,6 +223,19 @@ def test_fit_stokes_recovers_scaled_intensity():
     vec, fit = fit_stokes(sweep_samples(scaled, angles))
     assert math.isclose(fit.params["s0"], 0.08, rel_tol=1e-9)
     assert_allclose(vec.vec3, s.vec3, atol=1e-9)
+
+
+def test_fit_stokes_params_match_returned_vector():
+    # params and stderr describe the same quantities: s0 the per-pulse level,
+    # s1..s3 the returned normalized vector, bit for bit
+    rng = np.random.default_rng(13)
+    angles = np.linspace(0, math.pi, 16)
+    scaled = StokesVector(0.08, *(0.08 * stokes_from_qubit(CANONICAL_STATES["R"]).vec3))
+    intens = [rng.poisson(1e4 * qwp_polarimeter_intensity(scaled, a)) / 1e4 for a in angles]
+    vec, fit = fit_stokes(polarimetry_sweep(angles, intens))
+    assert list(fit.params) == list(fit.stderr) == ["s0", "s1", "s2", "s3"]
+    assert [fit.params[k] for k in ("s1", "s2", "s3")] == list(vec.vec3)
+    assert vec.s0 == 1.0
 
 
 def test_fit_stokes_poisson_noise_within_three_sigma(base=5):
@@ -395,6 +402,8 @@ def test_fit_rotation_degenerate_inputs():
         fit_rotation([h, v, h], [h, v, h])
     with pytest.raises(DataError):
         fit_rotation([h, v], [h, v])
+    with pytest.raises(DataError, match="equal length"):
+        fit_rotation([h, v, h], [h, v])
 
 
 # -------------------------------------------------------------- CSV round trip
