@@ -16,6 +16,7 @@ failure.
 """
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
@@ -60,6 +61,15 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
         return value
     return integer
+
+
+@contextlib.contextmanager
+def _naming(what: str):
+    """Re-raise a DataError or FitError with `what`, the input and its file, in front."""
+    try:
+        yield
+    except (DataError, FitError) as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
 
 
 def _json_text(obj) -> str:
@@ -159,20 +169,16 @@ def cmd_analyze(args) -> int:
     storage = {}
     for name, path in _parse_state_paths(args.storage, "--storage").items():
         storage[name] = hist = ArrivalHistogram.load(path)
-        try:  # build_report's per-histogram checks, made here where the file is known
-            sbr(hist, roi, bg)
-        except DataError as exc:
-            raise type(exc)(f"storage histogram for {name} ({path}): {exc}") from exc
+        with _naming(f"storage histogram for {name} ({path})"):
+            sbr(hist, roi, bg)  # build_report's per-histogram checks, made where the file is known
     reference = ArrivalHistogram.load(args.reference)
     if reference.total() == 0:  # storage_efficiency's check, made here where the file is known
         raise DataError(f"reference histogram ({args.reference}) is empty")
     measured = {}
     for name, path in _parse_state_paths(args.stokes, "--stokes").items():
         sweep = read_polarimetry_csv(path)
-        try:
+        with _naming(f"polarimetry sweep for {name} ({path})"):
             measured[name], _ = fit_stokes(sweep)
-        except (DataError, FitError) as exc:
-            raise type(exc)(f"polarimetry sweep for {name} ({path}): {exc}") from exc
     report = build_report(storage, reference, roi, bg, measured)
     write_text(args.out, _json_text(report.to_json()))
     print(report.to_text())
@@ -199,16 +205,21 @@ def cmd_model_curve(args) -> int:
 def cmd_fit(args) -> int:
     if not args.series:
         raise ConfigError(f"--kind {args.kind} requires --series")
+    # the readers name their file; _naming names it for the fit's own errors
     if args.kind == "decay":
-        result = fit_exponential_decay(SweepSeries.load_csv(args.series))
+        series = SweepSeries.load_csv(args.series)
+        with _naming(f"decay series ({args.series})"):
+            result = fit_exponential_decay(series)
     elif args.kind == "background":
         if not args.technical:
             raise ConfigError("--kind background requires --technical")
-        result = fit_sqrt_background(
-            SweepSeries.load_csv(args.series), SweepSeries.load_csv(args.technical)
-        )
+        bg, tech = SweepSeries.load_csv(args.series), SweepSeries.load_csv(args.technical)
+        with _naming(f"background sweep ({args.series}) with technical sweep ({args.technical})"):
+            result = fit_sqrt_background(bg, tech)
     else:
-        _, result = fit_stokes(read_polarimetry_csv(args.series))
+        sweep = read_polarimetry_csv(args.series)
+        with _naming(f"polarimetry sweep ({args.series})"):
+            _, result = fit_stokes(sweep)
     if args.format == "csv":
         lines = ["param,value,stderr"]
         lines += [f"{k},{float(v)!r},{float(result.stderr[k])!r}" for k, v in result.params.items()]

@@ -101,6 +101,9 @@ class ArrivalHistogram:
         self.counts = counts.astype(np.int64, copy=False)
         if np.any(self.counts < 0):
             raise DataError("counts must be nonnegative")
+        # nonnegative int64 partial sums wrap negative at the first overflow
+        if (self.counts.cumsum() < 0).any():
+            raise DataError("counts must total at most 2**63 - 1 (64-bit integers)")
 
     def total(self) -> int:
         return int(self.counts.sum())

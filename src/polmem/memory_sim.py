@@ -23,6 +23,7 @@ from .data import ArrivalHistogram, SweepSeries, Window, is_finite_number, read_
 from .errors import ConfigError
 from .histogram_analysis import roi_counts, storage_efficiency
 from .polarization import (
+    MIN_PLATE_ANGLES,
     QubitAngles,
     StokesVector,
     qwp_polarimeter_intensity,
@@ -279,8 +280,8 @@ def simulate_polarimetry_sweep(
     the exact expectations instead of Poisson draws.
     """
     angles = np.asarray(qwp_angles, dtype=float)
-    if len(angles) < 8:
-        raise ConfigError(f"need at least 8 analyzer angles, got {len(angles)}")
+    if len(angles) < MIN_PLATE_ANGLES:
+        raise ConfigError(f"need at least {MIN_PLATE_ANGLES} analyzer angles, got {len(angles)}")
     check_trials(trials_per_angle)
     means = [sum(_polarimeter_means(config, state, ang)) for ang in angles]
     if noiseless:

@@ -17,6 +17,8 @@ from .errors import DataError, UndefinedRatioError
 from .streams import check_poisson_mean, map_chunks, usable_cpus
 
 DEFAULT_N_MAX = 20
+# largest Poisson mass that truncating both photon numbers at n_max may drop
+MAX_DROPPED_MASS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -113,12 +115,20 @@ def _poisson_pmf(k, mean: float, log_fact) -> np.ndarray:
 def detection_probs(params: NoiseModelParams) -> DetectionProbs:
     """Truncated double sum over (n, m) of P(n)P(m) * n/(n+m) and m/(n+m).
 
-    The no-photon term (n=0, m=0) contributes to neither probability.
+    The no-photon term (n=0, m=0) contributes to neither probability.  A
+    DataError is raised when the cells beyond n_max would hold more than
+    MAX_DROPPED_MASS (1e-6) of the joint Poisson mass.
     """
     ks = np.arange(params.n_max + 1)
     log_fact = np.array([_log_factorial(k) for k in range(params.n_max + 1)])
     ps = _poisson_pmf(ks, params.signal_mean, log_fact)
     pb = _poisson_pmf(ks, params.q, log_fact)
+    if (dropped := 1.0 - ps.sum() * pb.sum()) > MAX_DROPPED_MASS:
+        raise DataError(
+            f"truncating at n_max = {params.n_max} drops {dropped:.3g} of the Poisson mass "
+            f"for means eta*p = {params.signal_mean:g} and q = {params.q:g} (bound "
+            f"{MAX_DROPPED_MASS:g}); raise n_max (--n-max)"
+        )
     weight = np.outer(ps, pb)
     n_grid, m_grid = np.meshgrid(ks, ks, indexing="ij")
     tot = np.maximum(n_grid + m_grid, 1)  # (0,0) cell contributes 0 either way

@@ -24,6 +24,7 @@ from .data import FitResult, SweepSeries
 from .errors import DataError, DegenerateGeometryError, FitError, IllConditionedFitError
 
 DOP_TOL = 1e-9
+MIN_PLATE_ANGLES = 8  # a sweep's fewest plate angles, for fit_stokes and the simulator
 STATE_NAMES = ("H", "V", "D", "A", "R", "L")
 
 
@@ -53,8 +54,8 @@ class StokesVector:
         """Rescale so that s0 == 1 exactly."""
         return StokesVector(1.0, self.s1 / self.s0, self.s2 / self.s0, self.s3 / self.s0)
 
-    def is_physical(self, tol: float = DOP_TOL) -> bool:
-        return self.dop <= 1.0 + tol
+    def is_physical(self) -> bool:
+        return self.dop <= 1.0 + DOP_TOL
 
     def as_array(self) -> np.ndarray:
         return np.array([self.s0, self.s1, self.s2, self.s3])
@@ -121,6 +122,12 @@ def _design_matrix(angles: np.ndarray) -> np.ndarray:
     )
 
 
+# The intensity law I(t) = 0.5*(A + B sin2t + C cos4t + D sin4t), with A = s0 + s1/2,
+# B = s3, C = s1/2 and D = s2/2, makes the least-squares coef on _design_matrix equal
+# (A, B, C, D) / 2.  With M this map, (s0..s3) = M @ coef, of covariance M @ cov(coef) @ M.T.
+_COEF_TO_STOKES = np.array([[2, 0, -2, 0], [0, 0, 4, 0], [0, 0, 0, 4], [0, 2, 0, 0]], dtype=float)
+
+
 def _check_intensities(intens: np.ndarray) -> None:
     if (negative := intens[intens < 0]).size:
         raise DataError(f"intensity must be >= 0, got {float(negative[0])}")
@@ -130,55 +137,40 @@ def fit_stokes(sweep: SweepSeries) -> tuple[StokesVector, FitResult]:
     """Recover a Stokes vector from a rotating-plate intensity sweep.
 
     Linear least squares on {1, sin 2t, cos 4t, sin 4t} inverts the
-    coefficient map of qwp_polarimeter_intensity.  Needs at least 8 plate
-    angles (sweep.x, rad) spanning half a turn; sweep.y holds intensities.
+    coefficient map of qwp_polarimeter_intensity.  Needs MIN_PLATE_ANGLES or
+    more plate angles (sweep.x, rad) spanning half a turn; sweep.y holds intensities.
 
     Returns the normalized Stokes vector together with a FitResult whose
     params hold the fitted per-pulse intensity s0 and the vector's s1..s3
     (s_k / s0); each stderr is its own value's error, by the delta method
     for the ratios.
     """
-    if len(sweep) < 8:
-        raise DataError(f"need at least 8 samples, got {len(sweep)}")
+    if len(sweep) < MIN_PLATE_ANGLES:
+        raise DataError(f"need at least {MIN_PLATE_ANGLES} samples, got {len(sweep)}")
     angles, intens = sweep.x, sweep.y
     _check_intensities(intens)
     if angles.max() - angles.min() < math.pi * (1 - 1e-9):
         raise DataError("samples must span at least 180 degrees of plate rotation")
 
     X = _design_matrix(angles)
-    if np.linalg.matrix_rank(X) < 4 or np.linalg.cond(X) > 1e10:
+    if np.linalg.cond(X) > 1e10:  # as is any rank < 4: cond >= 1/(N eps) > 1e10 for N < 4.5e5
         raise IllConditionedFitError("degenerate plate angles: design matrix is rank deficient")
 
     coef, _, _, _ = np.linalg.lstsq(X, intens, rcond=None)
-    # I = 0.5*(A + B sin2t + C cos4t + D sin4t) with
-    # A = s0 + s1/2, B = s3, C = s1/2, D = s2/2.
-    k0, k1, k2, k3 = coef
-    raw = np.array([2 * k0 - 2 * k2, 4 * k2, 4 * k3, 2 * k1])
+    raw = _COEF_TO_STOKES @ coef
     if raw[0] <= 0:
         raise DataError(f"recovered s0 = {raw[0]:.6g} is not positive")
 
-    resid = intens - X @ coef
-    residual_norm = float(np.linalg.norm(resid))
-    dof = len(sweep) - 4
-    sigma2 = residual_norm**2 / dof if dof > 0 else 0.0
-    cov_coef = sigma2 * np.linalg.inv(X.T @ X)
-    # raw stokes is a linear map L of the basis coefficients
-    L = np.array(
-        [[2, 0, -2, 0], [0, 0, 4, 0], [0, 0, 0, 4], [0, 2, 0, 0]], dtype=float
-    )
-    cov_raw = L @ cov_coef @ L.T
+    residual_norm = float(np.linalg.norm(intens - X @ coef))
+    sigma2 = residual_norm**2 / (len(sweep) - 4)
+    cov = _COEF_TO_STOKES @ (sigma2 * np.linalg.inv(X.T @ X)) @ _COEF_TO_STOKES.T
 
-    s0 = raw[0]
-    params = {"s0": s0}
-    stderr = {"s0": math.sqrt(max(cov_raw[0, 0], 0.0))}
-    for j, key in enumerate(("s1", "s2", "s3"), start=1):
-        params[key] = raw[j] / s0
-        var = (
-            cov_raw[j, j] / s0**2
-            + raw[j] ** 2 * cov_raw[0, 0] / s0**4
-            - 2 * raw[j] * cov_raw[0, j] / s0**3
-        )
-        stderr[key] = math.sqrt(max(var, 0.0))
+    s0, r = raw[0], raw[1:]
+    # delta method for r / s0; float_power squares by libm pow, as a float64 scalar's ** 2
+    ratio_var = (np.diag(cov)[1:] / s0**2 + np.float_power(r, 2) * cov[0, 0] / s0**4
+                 - 2 * r * cov[0, 1:] / s0**3)
+    params = dict(zip(("s0", "s1", "s2", "s3"), [s0, *(r / s0)]))
+    stderr = {k: math.sqrt(max(v, 0.0)) for k, v in zip(params, [cov[0, 0], *ratio_var])}
 
     result = FitResult(params, stderr, residual_norm, len(sweep))
     if not all(math.isfinite(v) for v in [*params.values(), *stderr.values(), residual_norm]):

@@ -1,6 +1,7 @@
 """Command-line round trips, exit codes, determinism, and golden regressions."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import math
@@ -243,6 +244,14 @@ def test_model_curve_q_zero_exit_2(tmp_path, capsys):
     assert "infinite" in capsys.readouterr().err
 
 
+def test_model_curve_truncated_mass_exit_2(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert run("model-curve", "--eta", 1, "--q", 0.005, "--p-min", 1, "--p-max", 40,
+               "--p-points", 4, "--out", out) == 2
+    assert "n_max = 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--q", "inf"), ("--q", "nan"), ("--p-max", "inf")])
 def test_model_curve_non_finite_mean_exit_2(tmp_path, flag, value):
     out = tmp_path / "c.json"
@@ -391,6 +400,30 @@ def test_fit_stokes_json_keys(tmp_path, sym_cfg_path):
     # s1..s3 are the normalized vector that analyze uses
     vec, _ = pm.fit_stokes(read_polarimetry_csv(sweep))
     assert [result["params"][k] for k in ("s1", "s2", "s3")] == list(vec.vec3)
+
+
+# sha256[:16] of `fit --kind stokes` output (JSON, CSV) for the six sweeps of
+# _write_analyze_inputs: pins every bit of the values, stderrs and residual norm
+_FIT_STOKES_DIGESTS = {
+    "H": ("28917bd230ec4c6a", "35e6864907b2faee"),
+    "V": ("4af6df83d4e4c544", "896a6c69364e4d43"),
+    "D": ("9ea661cce373c3eb", "b20caf71499f07bc"),
+    "A": ("a19c157c59a0a2a8", "3f91abeac276d04c"),
+    "R": ("1fb1f7b630991b7f", "cbd2fef11e6332b0"),
+    "L": ("adb280707a73e527", "521bd794e834acf5"),
+}
+
+
+@pytest.mark.parametrize("state", pm.STATE_NAMES)
+def test_fit_stokes_output_bytes_pinned(tmp_path, state):
+    _write_analyze_inputs(tmp_path, pm.MemoryConfig())
+    digests = []
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"fit.{fmt}"
+        assert run("fit", "--kind", "stokes", "--series", tmp_path / f"sw_{state}.csv",
+                   "--format", fmt, "--out", out) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest()[:16])
+    assert tuple(digests) == _FIT_STOKES_DIGESTS[state]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the way to the overflow

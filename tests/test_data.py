@@ -99,6 +99,7 @@ HISTOGRAM_CASES = {  # which file of a valid analyze set, and how it is edited
     "fractional-n_trials": ("storage_h", _replace("n_trials", lambda n: 1.9)),
     "n_trials-beyond-float": ("storage_h", _replace("n_trials", lambda n: 10**400)),
     "not-utf8": ("storage_h", lambda d: b'{"label": "\xff"}'),
+    "total-beyond-64-bits": ("reference", _replace("counts", lambda c: [2**62, 2**62] + c[2:])),
 }
 
 
@@ -133,6 +134,38 @@ def test_analyze_error_names_state_and_file(inputs, tmp_path, capsys, case):
         bad = _write(tmp_path / "bad.json", edit(json.loads((inputs / source).read_text())))
     assert _analyze(inputs, **{role: bad}) == 2
     assert f"{what} ({bad})" in capsys.readouterr().err
+
+
+def test_histogram_total_must_fit_64_bits():
+    top = 2**63 - 1
+    assert pm.ArrivalHistogram(0.0, 0.05, [2**62, 2**62 - 1] + [0] * 158, 10).total() == top
+    with pytest.raises(pm.DataError, match="total at most 2\\*\\*63 - 1"):
+        pm.ArrivalHistogram(0.0, 0.05, [2**62, 2**62, 1] + [0] * 157, 10)
+
+
+FIT_CASES = {  # flags after `fit`, the files the message must name, and the exit code
+    "seven-angle-sweep": (lambda d: ["--kind", "stokes", "--series", d / "sw7.csv"], 2),
+    "two-point-decay": (lambda d: ["--kind", "decay", "--series", d / "d2.csv"], 2),
+    "mismatched-technical": (lambda d: ["--kind", "background", "--series", d / "bg.csv",
+                                        "--technical", d / "te.csv"], 2),
+    "one-time-decay": (lambda d: ["--kind", "decay", "--series", d / "d1.csv"], 3),
+}
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_fit_error_names_file(inputs, tmp_path, capsys, case):
+    lines = (inputs / "sw_H.csv").read_text().splitlines(keepends=True)
+    _write(tmp_path / "sw7.csv", "".join(lines[:8]))
+    _write(tmp_path / "d2.csv", "t,y,y_err\n0.0,0.05,0.001\n5.0,0.04,0.001\n")
+    _write(tmp_path / "d1.csv", "t,y,y_err\n5.0,0.05,0.001\n5.0,0.04,0.001\n5.0,0.03,0.001\n")
+    _write(tmp_path / "bg.csv", "p,y,y_err\n1.0,0.05,0.001\n2.0,0.06,0.001\n4.0,0.07,0.001\n")
+    _write(tmp_path / "te.csv", "p,y,y_err\n1.0,0.01,0.001\n2.0,0.01,0.001\n8.0,0.01,0.001\n")
+    flags, code = FIT_CASES[case]
+    flags = flags(tmp_path)
+    assert main(["fit", *map(str, flags), "--out", str(tmp_path / "f.json")]) == code
+    err = capsys.readouterr().err
+    for path in (f for f in flags if isinstance(f, Path)):
+        assert f"({path})" in err
 
 
 def _check_csv_rejected(tmp_path, capsys, kind, flag, body, line, field):

@@ -121,6 +121,12 @@ def test_truncation_converged_at_default():
     assert math.isclose(tight.p_background, wide.p_background, abs_tol=1e-12)
 
 
+def test_truncation_dropping_mass_is_refused():
+    # at n_max = 20 the sums would drop 44% of the Poisson mass at eta*p = 20
+    with pytest.raises(DataError, match=r"eta\*p = 20 and q = 0.005.*raise n_max"):
+        detection_probs(NoiseModelParams(1.0, 20.0, 0.005))
+
+
 def test_degenerate_corners():
     nothing = detection_probs(NoiseModelParams(eta=0.0, p=1.0, q=0.0))
     assert nothing.p_signal == 0.0 and nothing.p_background == 0.0

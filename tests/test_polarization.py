@@ -238,6 +238,40 @@ def test_fit_stokes_params_match_returned_vector():
     assert vec.s0 == 1.0
 
 
+def _fit_stokes_per_component(sweep):
+    """fit_stokes's values and stderrs written out per component: the
+    intensity law's coefficients by hand and a scalar delta-method loop."""
+    x, y = sweep.x, sweep.y
+    X = np.column_stack([np.ones_like(x), np.sin(2 * x), np.cos(4 * x), np.sin(4 * x)])
+    coef = np.linalg.lstsq(X, y, rcond=None)[0]
+    k0, k1, k2, k3 = coef
+    raw = np.array([2 * k0 - 2 * k2, 4 * k2, 4 * k3, 2 * k1])
+    L = np.array([[2, 0, -2, 0], [0, 0, 4, 0], [0, 0, 0, 4], [0, 2, 0, 0]], dtype=float)
+    sigma2 = float(np.linalg.norm(y - X @ coef)) ** 2 / (len(x) - 4)
+    cov = L @ (sigma2 * np.linalg.inv(X.T @ X)) @ L.T
+    s0 = raw[0]
+    params, stderr = {"s0": s0}, {"s0": math.sqrt(max(cov[0, 0], 0.0))}
+    for j, key in enumerate(("s1", "s2", "s3"), start=1):
+        params[key] = raw[j] / s0
+        var = cov[j, j] / s0**2 + raw[j] ** 2 * cov[0, 0] / s0**4 - 2 * raw[j] * cov[0, j] / s0**3
+        stderr[key] = math.sqrt(max(var, 0.0))
+    return params, stderr
+
+
+def test_fit_stokes_matches_per_component_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(1000):
+        n = int(rng.integers(8, 41))
+        angles = np.linspace(0, math.pi, n)
+        angles[1:-1] += rng.uniform(-0.4, 0.4, n - 2) * math.pi / n
+        level = 10.0 ** rng.uniform(-5, 4)
+        s = random_physical(rng)
+        intens = [level * (qwp_polarimeter_intensity(s, a) + rng.uniform(0, 0.2)) for a in angles]
+        sweep = polarimetry_sweep(angles, intens)
+        _, fit = fit_stokes(sweep)
+        assert (fit.params, fit.stderr) == _fit_stokes_per_component(sweep)
+
+
 def test_fit_stokes_poisson_noise_within_three_sigma(base=5):
     rng = np.random.default_rng(base)
     angles = np.linspace(0, math.pi, 16)
