@@ -54,8 +54,9 @@ def storage_efficiency(
     """Background-subtracted ROI counts over total reference counts.
 
     Both histograms are normalized per pulse first, so differing trial
-    counts are handled.  A negative subtracted value is possible on noisy
-    data and is returned unclamped (with a warning).
+    counts are handled.  On noisy data the estimate may fall below 0 or, for
+    a memory near 100%, rise above 1; either is returned unclamped (with a
+    warning).
     """
     if abs(roi.duration - bg.duration) > 1e-9:
         raise ConfigError("ROI and background windows must have equal duration")
@@ -63,10 +64,12 @@ def storage_efficiency(
     if ref_total == 0:
         raise DataError("reference histogram is empty")
     net = roi_counts(storage, roi) - roi_counts(storage, bg)
-    if net < 0:
+    efficiency = net * (reference.n_trials / storage.n_trials) / ref_total
+    if efficiency < 0:
         warnings.warn("negative background-subtracted counts; efficiency estimate is < 0")
-    scale = reference.n_trials / storage.n_trials
-    return net * scale / ref_total
+    elif efficiency > 1:
+        warnings.warn(f"efficiency estimate {efficiency} is above 1")
+    return efficiency
 
 
 def sbr(storage: ArrivalHistogram, roi: Window, bg: Window) -> float:
@@ -176,12 +179,14 @@ def fit_sqrt_background(background: SweepSeries, technical: SweepSeries) -> FitR
         raise DataError("background and technical sweeps must share abscissas")
     if np.any(p < 0):
         raise DataError("powers must be >= 0")
+    use = p > 0
+    if not np.any(use):
+        raise DataError("no point at control power > 0 to fit")
     d = background.y - technical.y
     sigma = np.sqrt(background.y_err**2 + technical.y_err**2)
     if not np.any(d > 0):
         raise DataError("subtracted series has no positive values to fit")
 
-    use = p > 0
     a, c, a_err, c_err, residual_norm = _fit_exp_model(np.log(p[use]), d[use], sigma[use])
     return FitResult(
         params={"a": a, "c": c},
@@ -195,12 +200,7 @@ def fit_sqrt_background(background: SweepSeries, technical: SweepSeries) -> FitR
 class StateResult:
     sbr: float
     fidelity: float
-    efficiency: float
-
-    def __post_init__(self):
-        # a negative efficiency is a valid, unclamped estimate (see storage_efficiency)
-        if not self.efficiency <= 1.0:
-            raise DataError(f"efficiency {self.efficiency} above 1")
+    efficiency: float  # unclamped: below 0 or above 1 on noisy data (see storage_efficiency)
 
 
 @dataclass(frozen=True)

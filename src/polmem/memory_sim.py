@@ -147,7 +147,11 @@ class MemoryConfig:
 
     @classmethod
     def load(cls, path) -> "MemoryConfig":
-        return cls.from_json(read_json(path, ConfigError))
+        data = read_json(path, ConfigError)  # its errors name the file already
+        try:
+            return cls.from_json(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _increasing(what: str, values) -> np.ndarray:

@@ -8,7 +8,9 @@ n_max gives closed-form detection probabilities, from which fidelity and
 signal-to-background ratio follow.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,8 @@ from .errors import DataError, UndefinedRatioError
 from .streams import check_poisson_mean, map_chunks, usable_cpus
 
 DEFAULT_N_MAX = 20
+# ln k! comes from the exact integer k!, whose running product costs time quadratic in n_max
+MAX_N_MAX = 10_000
 # largest Poisson mass that truncating both photon numbers at n_max may drop
 MAX_DROPPED_MASS = 1e-6
 
@@ -35,8 +39,8 @@ class NoiseModelParams:
             raise DataError(f"eta must lie in [0, 1], got {self.eta}")
         if not (0 <= self.p < math.inf and 0 <= self.q < math.inf):
             raise DataError(f"photon means must be finite and >= 0, got p={self.p}, q={self.q}")
-        if self.n_max < 1:
-            raise DataError(f"n_max must be >= 1, got {self.n_max}")
+        if not 1 <= self.n_max <= MAX_N_MAX:
+            raise DataError(f"n_max must lie in [1, {MAX_N_MAX}], got {self.n_max}")
 
     @property
     def signal_mean(self) -> float:
@@ -75,34 +79,6 @@ class DetectionProbs:
         return (self.p_signal + 0.5 * self.p_background) / denom
 
 
-# Cephes lgam: log sqrt(2 pi), and the Stirling-series coefficients for x < 1000
-_LS2PI = 0.91893853320467274178
-_A0, _A1, _A2, _A3, _A4 = (
-    8.11614167470508450300e-4,
-    -5.95061904284301438324e-4,
-    7.93650340457716943945e-4,
-    -2.77777777730099687205e-3,
-    8.33333333333331927722e-2,
-)
-
-
-def _log_factorial(k: int) -> float:
-    """ln k! for an integer k >= 0, bit for bit what scipy.special.gammaln(k + 1.0)
-    returns: the Stirling branches of Cephes lgam, with its own coefficients
-    and operation order.  Scalar math.log, so no SIMD dispatch enters."""
-    if k <= 11:  # lgam's x < 13 branch: the log of the exact product
-        return math.log(math.factorial(k))
-    x = k + 1.0
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    return q + ((((_A0 * p + _A1) * p + _A2) * p + _A3) * p + _A4) / x
-
-
 def _poisson_pmf(k, mean: float, log_fact) -> np.ndarray:
     """Poisson mass function evaluated in log space (stable for large k);
     log_fact holds ln k! for each k."""
@@ -120,7 +96,8 @@ def detection_probs(params: NoiseModelParams) -> DetectionProbs:
     MAX_DROPPED_MASS (1e-6) of the joint Poisson mass.
     """
     ks = np.arange(params.n_max + 1)
-    log_fact = np.array([_log_factorial(k) for k in range(params.n_max + 1)])
+    factorials = itertools.accumulate(range(1, params.n_max + 1), operator.mul, initial=1)
+    log_fact = np.array([math.log(f) for f in factorials])
     ps = _poisson_pmf(ks, params.signal_mean, log_fact)
     pb = _poisson_pmf(ks, params.q, log_fact)
     if (dropped := 1.0 - ps.sum() * pb.sum()) > MAX_DROPPED_MASS:

@@ -149,6 +149,8 @@ FIT_CASES = {  # flags after `fit`, the files the message must name, and the exi
     "mismatched-technical": (lambda d: ["--kind", "background", "--series", d / "bg.csv",
                                         "--technical", d / "te.csv"], 2),
     "one-time-decay": (lambda d: ["--kind", "decay", "--series", d / "d1.csv"], 3),
+    "zero-power-background": (lambda d: ["--kind", "background", "--series", d / "bg0.csv",
+                                         "--technical", d / "te0.csv"], 2),
 }
 
 
@@ -160,6 +162,8 @@ def test_fit_error_names_file(inputs, tmp_path, capsys, case):
     _write(tmp_path / "d1.csv", "t,y,y_err\n5.0,0.05,0.001\n5.0,0.04,0.001\n5.0,0.03,0.001\n")
     _write(tmp_path / "bg.csv", "p,y,y_err\n1.0,0.05,0.001\n2.0,0.06,0.001\n4.0,0.07,0.001\n")
     _write(tmp_path / "te.csv", "p,y,y_err\n1.0,0.01,0.001\n2.0,0.01,0.001\n8.0,0.01,0.001\n")
+    _write(tmp_path / "bg0.csv", "p,y,y_err\n0.0,0.5,0.1\n0.0,0.6,0.1\n")
+    _write(tmp_path / "te0.csv", "p,y,y_err\n0.0,0.1,0.1\n0.0,0.1,0.1\n")
     flags, code = FIT_CASES[case]
     flags = flags(tmp_path)
     assert main(["fit", *map(str, flags), "--out", str(tmp_path / "f.json")]) == code
@@ -225,6 +229,19 @@ def test_malformed_config_exit_2(tmp_path, capsys, case):
     assert main(["simulate", "--config", str(bad), "--state", "H", "--trials", "10",
                  "--seed", "1", "--out", str(tmp_path / "h.json")]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body,message", [
+    ('{"eta_h": 2}', "eta_h must lie in [0, 1], got 2"),
+    ('{"bogus": 1}', "unknown config keys: ['bogus']"),
+], ids=["eta_h-above-1", "unknown-key"])
+def test_config_value_error_names_file(tmp_path, capsys, body, message):
+    cfg = _write(tmp_path / "cfg.json", body)
+    assert main(["simulate", "--config", str(cfg), "--state", "H", "--trials", "10",
+                 "--seed", "1", "--out", str(tmp_path / "h.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: {message}" in err
+    assert err.count(str(cfg)) == 1
 
 
 @pytest.mark.parametrize("stderr,n_points,message", [

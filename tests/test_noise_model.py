@@ -10,6 +10,8 @@ so the model's conditional fidelity is exactly (R + 1/2)/(R + 1) with
 R = eta p / q.  Monte Carlo agreement is tested separately.
 """
 
+import hashlib
+import itertools
 import math
 
 import mpmath
@@ -20,9 +22,9 @@ from numpy.testing import assert_allclose
 from polmem.errors import ConfigError, DataError, UndefinedRatioError
 from polmem.noise_model import (
     DEFAULT_N_MAX,
+    MAX_N_MAX,
     DetectionProbs,
     NoiseModelParams,
-    _log_factorial,
     detection_probs,
     fidelity_sbr_curve,
     mc_detection_oracle,
@@ -64,6 +66,9 @@ def test_params_validation():
         NoiseModelParams(eta=0.5, p=-1.0, q=0.0)
     with pytest.raises(DataError):
         NoiseModelParams(eta=0.5, p=1.0, q=0.0, n_max=0)
+    with pytest.raises(DataError, match="n_max must lie in"):
+        NoiseModelParams(eta=0.5, p=1.0, q=0.0, n_max=MAX_N_MAX + 1)
+    assert NoiseModelParams(eta=0.5, p=1.0, q=0.0, n_max=MAX_N_MAX).n_max == MAX_N_MAX
     for p, q in ((math.inf, 0.0), (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(DataError):
             NoiseModelParams(eta=0.5, p=p, q=q)
@@ -77,20 +82,25 @@ def test_detection_probs_validation():
         DetectionProbs(0.7, 0.7)
 
 
-def test_log_factorial_matches_scipy_gammaln_bit_for_bit():
-    # every branch of Cephes lgam: k <= 11, the polynomial below x = 1000, the
-    # short series from there, and the bare Stirling term above x = 1e8
-    from scipy.special import gammaln
-
-    ks = [*range(2001), 10**5, 10**8 - 1, 10**8, 10**9, 10**12]
-    expected = gammaln(np.array(ks, dtype=float) + 1.0).tolist()
-    assert [_log_factorial(k) for k in ks] == expected
-
-
 def test_detection_probs_frozen_oracle_values():
     probs = detection_probs(STANDARD_PARAMS)
     assert math.isclose(probs.p_signal, P_SIGNAL_STD, rel_tol=1e-12)
     assert math.isclose(probs.p_background, P_BACKGROUND_STD, rel_tol=1e-12)
+
+
+def test_detection_probs_bits_pinned_on_criterion_1_grid():
+    # the reprs of every (p_signal, p_background) on criterion 1's 5x5x5 grid
+    # at the default n_max; a last-ulp move in any cell changes the digest
+    grid = itertools.product(
+        np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 5)
+    )
+    rows = []
+    for eta, p, q in grid:
+        probs = detection_probs(NoiseModelParams(float(eta), float(p), float(q)))
+        rows.append((probs.p_signal, probs.p_background))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "8acd90b6d275c52516c53de394e857b11e11914fd73b3d702d73cc765b6d18b7"
+    )
 
 
 def test_detection_probs_against_mpmath_oracle_grid():
@@ -103,9 +113,13 @@ def test_detection_probs_against_mpmath_oracle_grid():
 
 
 def test_detection_probs_closed_form_identities():
-    # the untruncated sums collapse: total = 1 - exp(-(sp+q)), split sp : q
-    for eta, p, q in [(0.055, 1.6, 0.005), (0.4, 1.2, 0.3), (0.9, 0.05, 0.8)]:
-        params = NoiseModelParams(eta=eta, p=p, q=q, n_max=40)
+    # the untruncated sums collapse: total = 1 - exp(-(sp+q)), split sp : q;
+    # means of several hundred put ln k! up to k = 1100 into every pmf
+    for eta, p, q, n_max in [
+        (0.055, 1.6, 0.005, 40), (0.4, 1.2, 0.3, 40), (0.9, 0.05, 0.8, 40),
+        (1.0, 400.0, 300.0, 1100), (0.5, 900.0, 150.0, 1100), (0.2, 1000.0, 550.0, 1100),
+    ]:
+        params = NoiseModelParams(eta=eta, p=p, q=q, n_max=n_max)
         probs = detection_probs(params)
         total = 1.0 - math.exp(-(eta * p + q))
         assert math.isclose(probs.p_signal + probs.p_background, total, rel_tol=1e-12)
