@@ -33,6 +33,7 @@ from .polarization import (
 from .noise_model import (
     DetectionProbs,
     NoiseModelParams,
+    classical_fidelity_limit,
     detection_probs,
     fidelity_sbr_curve,
     mc_detection_oracle,

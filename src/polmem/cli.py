@@ -166,8 +166,10 @@ def cmd_analyze(args) -> int:
     config = MemoryConfig.load(args.config)
     roi = Window(config.roi_start, config.roi_end)
     bg = Window(config.bg_window_start, config.bg_window_end)
+    storage_paths = _parse_state_paths(args.storage, "--storage")
+    stokes_paths = _parse_state_paths(args.stokes, "--stokes")
     storage = {}
-    for name, path in _parse_state_paths(args.storage, "--storage").items():
+    for name, path in storage_paths.items():
         storage[name] = hist = ArrivalHistogram.load(path)
         with _naming(f"storage histogram for {name} ({path})"):
             sbr(hist, roi, bg)  # build_report's per-histogram checks, made where the file is known
@@ -175,11 +177,12 @@ def cmd_analyze(args) -> int:
     if reference.total() == 0:  # storage_efficiency's check, made here where the file is known
         raise DataError(f"reference histogram ({args.reference}) is empty")
     measured = {}
-    for name, path in _parse_state_paths(args.stokes, "--stokes").items():
+    for name, path in stokes_paths.items():
         sweep = read_polarimetry_csv(path)
         with _naming(f"polarimetry sweep for {name} ({path})"):
             measured[name], _ = fit_stokes(sweep)
-    report = build_report(storage, reference, roi, bg, measured)
+    sources = {s: f"storage {storage_paths[s]}, sweep {stokes_paths[s]}" for s in STATE_NAMES}
+    report = build_report(storage, reference, roi, bg, measured, config.p_in, sources)
     write_text(args.out, _json_text(report.to_json()))
     print(report.to_text())
     return 0
@@ -191,7 +194,7 @@ def cmd_model_curve(args) -> int:
     if not 0 < args.p_min <= args.p_max < math.inf:
         raise ConfigError("need 0 < p-min <= p-max < inf")
     grid = np.linspace(args.p_min, args.p_max, args.p_points)
-    rows = fidelity_sbr_curve(args.eta, args.q, args.n_max, grid)
+    rows = fidelity_sbr_curve(args.eta, args.q, grid)
     if args.format == "json":
         text = _json_text([{"p": p, "sbr": s, "fidelity": f} for p, s, f in rows])
     else:
@@ -272,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("model-curve", help="detection-model fidelity/SBR curve")
     p_mc.add_argument("--eta", type=float, default=0.055)
     p_mc.add_argument("--q", type=float, default=0.005)
-    p_mc.add_argument("--n-max", type=int, default=20)
     p_mc.add_argument("--p-min", type=float, default=0.1)
     p_mc.add_argument("--p-max", type=float, default=20.0)
     p_mc.add_argument("--p-points", type=int, default=50)

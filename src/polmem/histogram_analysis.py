@@ -2,7 +2,8 @@
 
 Window counting, background-subtracted storage efficiency, signal-to-
 background ratio, the exponential coherence-time fit, the power-law fit of
-the control-induced background, and the per-state summary report.
+the control-induced background, and the per-state summary report with the
+classical limits its average fidelity is measured against.
 
 All estimators work on per-pulse normalized counts, so they are invariant
 under a joint rescaling of trials.  Background subtraction may go negative
@@ -10,6 +11,7 @@ on noisy data; values are reported as-is (with a warning) to keep the
 estimators unbiased.
 """
 
+import contextlib
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -18,6 +20,7 @@ import numpy as np
 
 from .data import ArrivalHistogram, FitResult, SweepSeries, Window
 from .errors import ConfigError, DataError, FitError, UndefinedRatioError
+from .noise_model import classical_fidelity_limit
 from .polarization import (
     CANONICAL_STATES,
     STATE_NAMES,
@@ -206,9 +209,11 @@ class StateResult:
 @dataclass(frozen=True)
 class StorageReport:
     """Per-state SBR / fidelity / efficiency; the average and standard error
-    of each follow from the states."""
+    of each follow from the states, and so do the classical limits at the
+    mean input photon number mu per pulse."""
 
     states: dict
+    mu: float
 
     def _columns(self) -> dict:
         return {f.name: np.array([getattr(r, f.name) for r in self.states.values()])
@@ -222,9 +227,30 @@ class StorageReport:
     def sem(self) -> dict:
         return {k: float(v.std(ddof=1) / math.sqrt(len(v))) for k, v in self._columns().items()}
 
+    @property
+    def classical(self) -> dict:
+        """The classical limits at mu, without eta and with the average
+        efficiency as eta, and the average fidelity minus each: plain
+        differences, with no error.  At eta >= 1 the two limits are equal; at
+        eta <= 0 the eta-aware limit is undefined, so it and its difference
+        are None."""
+        average = self.average
+        fid, eta = average["fidelity"], average["efficiency"]
+        f_cl = classical_fidelity_limit(self.mu, 1.0)
+        f_eta = classical_fidelity_limit(self.mu, eta) if eta > 0 else None
+        return {
+            "mu": self.mu,
+            "eta": eta,
+            "f_classical": f_cl,
+            "f_classical_eta": f_eta,
+            "f_avg_minus_f_classical": fid - f_cl,
+            "f_avg_minus_f_classical_eta": None if f_eta is None else fid - f_eta,
+        }
+
     def to_json(self) -> dict:
         states = {name: asdict(r) for name, r in self.states.items()}
-        return {"states": states, "average": self.average, "sem": self.sem}
+        return {"states": states, "average": self.average, "sem": self.sem,
+                "classical_limit": self.classical}
 
     def to_text(self) -> str:
         rows = [(name, asdict(r)) for name, r in self.states.items()]
@@ -232,7 +258,24 @@ class StorageReport:
         lines = [f"{'state':<8}{'SBR':>8}{'fidelity':>10}{'efficiency':>12}"]
         lines += [f"{name:<8}{v['sbr']:>8.3f}{v['fidelity']:>10.4f}{v['efficiency']:>12.4f}"
                   for name, v in rows]
+        c = self.classical
+        limits = [("", c["f_classical"], c["f_avg_minus_f_classical"])]
+        if c["f_classical_eta"] is not None:
+            limits.append((f", eta = {c['eta']:.4f}", c["f_classical_eta"],
+                           c["f_avg_minus_f_classical_eta"]))
+        lines += [f"classical limit, mu = {c['mu']:g}{at}: {f:.4f}; "
+                  f"average fidelity minus it: {d:+.4f}" for at, f, d in limits]
         return "\n".join(lines)
+
+
+@contextlib.contextmanager
+def _warnings_named(where: str):
+    """Re-issue every warning raised inside with `where` in front."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for w in caught:
+        warnings.warn(f"{where}: {w.message}", w.category)
 
 
 def build_report(
@@ -241,14 +284,23 @@ def build_report(
     roi: Window,
     bg: Window,
     measured_stokes: dict,
+    mu: float,
+    sources: dict | None = None,
 ) -> StorageReport:
-    """Summary over the six canonical states.
+    """Summary over the six canonical states, and the classical limits at mu.
 
     storage maps state name to its (analyzer-free) histogram; measured_stokes
     maps state name to the polarimetry-fitted Stokes vector of the retrieved
     light.  Fidelities follow the alignment procedure: fit the best rotation
     from ideal inputs to the measured directions, rotate the inputs, then
-    compare each measured state against its rotated input.
+    compare each measured state against its rotated input.  mu is the mean
+    input photon number per pulse, and the average efficiency is the eta of
+    the eta-aware classical limit (see StorageReport.classical).
+
+    An efficiency outside [0, 1] or a fidelity above 1 is kept unclamped and
+    warned of once, naming its state and, when sources maps the state to a
+    description of its input files, those files.  An average efficiency <= 0
+    leaves only the eta-free limit, with a warning.
     """
     for name, mapping in (("storage histogram", storage), ("measured Stokes", measured_stokes)):
         missing = [s for s in STATE_NAMES if s not in mapping]
@@ -265,10 +317,15 @@ def build_report(
 
     states = {}
     for name, f in zip(STATE_NAMES, fids):
-        states[name] = StateResult(
-            sbr=sbr(storage[name], roi, bg),
-            fidelity=f,
-            efficiency=storage_efficiency(storage[name], reference, roi, bg),
-        )
+        where = f"state {name}" + (f" ({sources[name]})" if sources else "")
+        with _warnings_named(where):
+            efficiency = storage_efficiency(storage[name], reference, roi, bg)
+            if f > 1:
+                warnings.warn(f"fidelity estimate {f} is above 1")
+        states[name] = StateResult(sbr=sbr(storage[name], roi, bg), fidelity=f, efficiency=efficiency)
 
-    return StorageReport(states)
+    report = StorageReport(states, mu)
+    if report.classical["f_classical_eta"] is None:
+        eta = report.average["efficiency"]
+        warnings.warn(f"average efficiency {eta} <= 0: only the eta-free classical limit is reported")
+    return report

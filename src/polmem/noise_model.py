@@ -3,14 +3,16 @@
 Signal photons are Poissonian with mean eta*p (storage efficiency times mean
 input photon number); background photons are Poissonian with mean q.  A
 click/no-click detector that sees n signal and m background photons reports
-a signal photon with probability n/(n+m).  Truncating both photon numbers at
-n_max gives closed-form detection probabilities, from which fidelity and
-signal-to-background ratio follow.
+a signal photon with probability n/(n+m).  Summed over every (n, m), this
+gives the detection probabilities in closed form, from which fidelity and
+signal-to-background ratio follow.  Beside the model sits the classical limit
+that its fidelity is measured against: the best measure-and-prepare device
+for Poissonian input pulses.
 """
 
-import itertools
+import decimal
 import math
-import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,29 +20,20 @@ import numpy as np
 from .errors import DataError, UndefinedRatioError
 from .streams import check_poisson_mean, map_chunks, usable_cpus
 
-DEFAULT_N_MAX = 20
-# ln k! comes from the exact integer k!, whose running product costs time quadratic in n_max
-MAX_N_MAX = 10_000
-# largest Poisson mass that truncating both photon numbers at n_max may drop
-MAX_DROPPED_MASS = 1e-6
-
 
 @dataclass(frozen=True)
 class NoiseModelParams:
-    """Model parameters: efficiency, mean signal/background photons, truncation."""
+    """Model parameters: efficiency and mean signal/background photons."""
 
     eta: float
     p: float
     q: float
-    n_max: int = DEFAULT_N_MAX
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise DataError(f"eta must lie in [0, 1], got {self.eta}")
         if not (0 <= self.p < math.inf and 0 <= self.q < math.inf):
             raise DataError(f"photon means must be finite and >= 0, got p={self.p}, q={self.q}")
-        if not 1 <= self.n_max <= MAX_N_MAX:
-            raise DataError(f"n_max must lie in [1, {MAX_N_MAX}], got {self.n_max}")
 
     @property
     def signal_mean(self) -> float:
@@ -79,43 +72,26 @@ class DetectionProbs:
         return (self.p_signal + 0.5 * self.p_background) / denom
 
 
-def _poisson_pmf(k, mean: float, log_fact) -> np.ndarray:
-    """Poisson mass function evaluated in log space (stable for large k);
-    log_fact holds ln k! for each k."""
-    k = np.asarray(k)
-    if mean == 0.0:
-        return np.where(k == 0, 1.0, 0.0)
-    return np.exp(k * np.log(mean) - mean - log_fact)
-
-
 def detection_probs(params: NoiseModelParams) -> DetectionProbs:
-    """Truncated double sum over (n, m) of P(n)P(m) * n/(n+m) and m/(n+m).
+    """Exact sums over every (n, m) of P(n)P(m) * n/(n+m) and m/(n+m).
 
-    The no-photon term (n=0, m=0) contributes to neither probability.  A
-    DataError is raised when the cells beyond n_max would hold more than
-    MAX_DROPPED_MASS (1e-6) of the joint Poisson mass.
+    n + m is Poisson of mean lam = eta*p + q, and each of its photons is
+    signal with probability eta*p/lam, so P_s = (1 - exp(-lam)) eta*p/lam and
+    P_bg = (1 - exp(-lam)) q/lam.  The no-photon term contributes to neither.
     """
-    ks = np.arange(params.n_max + 1)
-    factorials = itertools.accumulate(range(1, params.n_max + 1), operator.mul, initial=1)
-    log_fact = np.array([math.log(f) for f in factorials])
-    ps = _poisson_pmf(ks, params.signal_mean, log_fact)
-    pb = _poisson_pmf(ks, params.q, log_fact)
-    if (dropped := 1.0 - ps.sum() * pb.sum()) > MAX_DROPPED_MASS:
-        raise DataError(
-            f"truncating at n_max = {params.n_max} drops {dropped:.3g} of the Poisson mass "
-            f"for means eta*p = {params.signal_mean:g} and q = {params.q:g} (bound "
-            f"{MAX_DROPPED_MASS:g}); raise n_max (--n-max)"
-        )
-    weight = np.outer(ps, pb)
-    n_grid, m_grid = np.meshgrid(ks, ks, indexing="ij")
-    tot = np.maximum(n_grid + m_grid, 1)  # (0,0) cell contributes 0 either way
-    p_sig = float(np.sum(weight * n_grid / tot))
-    p_bg = float(np.sum(weight * m_grid / tot))
-    return DetectionProbs(p_sig, p_bg)
+    sp, q = params.signal_mean, params.q
+    lam = sp + q
+    if lam == 0.0:
+        return DetectionProbs(0.0, 0.0)
+    total = -math.expm1(-lam)
+    if lam == math.inf:  # two finite means whose sum overflows: split at half scale
+        sp, q = sp / 2, q / 2
+        lam = sp + q
+    return DetectionProbs(total * sp / lam, total * q / lam)
 
 
 def fidelity_sbr_curve(
-    eta: float, q: float, n_max: int, p_grid: list[float]
+    eta: float, q: float, p_grid: list[float]
 ) -> list[tuple[float, float, float]]:
     """(p, sbr, fidelity) rows for each input photon mean in p_grid, in grid order."""
     p_arr = np.asarray(p_grid, dtype=float)
@@ -127,9 +103,51 @@ def fidelity_sbr_curve(
         raise DataError("p_grid must be strictly ascending")
     rows = []
     for p in p_arr:
-        probs = detection_probs(NoiseModelParams(eta=eta, p=float(p), q=q, n_max=n_max))
+        probs = detection_probs(NoiseModelParams(eta=eta, p=float(p), q=q))
         rows.append((float(p), probs.sbr, probs.fidelity))
     return rows
+
+
+def classical_fidelity_limit(mu: float, eta: float) -> float:
+    """Best average fidelity of a measure-and-prepare device fed Poisson pulses of mean mu.
+
+    A device that measures N >= 1 photons of a qubit can prepare it again with
+    average fidelity (N+1)/(N+2); an empty pulse gives it nothing to answer on.
+    To imitate a memory of efficiency eta it answers only on its highest-N
+    pulses, every N > N_min and a share of N = N_min (the construction of
+    Specht et al., Nature 473, 190 (2011), and Gundogan et al., PRL 108,
+    190504 (2012)).  It answers on a fraction eta*mu of the pulses, one photon
+    each, so that its mean output photon number over its mean input is eta:
+    the ratio of photon numbers, retrieved over sent, that storage_efficiency
+    estimates.  With eta*mu >= P(N >= 1), e.g. eta >= 1, it answers on every
+    non-empty pulse, which gives the eta-free limit
+    1 - (E[1/(N+2)] - e^-mu/2) / (1 - e^-mu), E[1/(N+2)] = (mu - 1 + e^-mu)/mu^2.
+
+    Each sum over N > N_min is its closed-form total minus the head sum of
+    the Poisson terms below, so no photon number is cut off.  The differences
+    cancel up to three digits per decade that eta*mu lies below 1, so they
+    are taken in decimal arithmetic with 25 digits more than that, and F is
+    exact to the float it is returned as.  mu must lie in (0, 708), where
+    P(N = 0) = e^-mu is a normal float.
+    """
+    if not 0 < mu < math.inf or math.exp(-mu) < sys.float_info.min:
+        raise DataError(f"mu must lie in (0, 708), where exp(-mu) is a normal float, got {mu}")
+    if not 0 < eta < math.inf:
+        raise DataError(f"eta must be finite and > 0, got {eta}")
+    m, d_eta = decimal.Decimal(mu), decimal.Decimal(eta)
+    digits = 25 + 3 * max(0, -(d_eta * m).adjusted())
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        e = (-m).exp()
+        nonempty = 1 - e  # P(N >= 1)
+        inv_n2 = (m - 1 + e) / (m * m) - e / 2  # sum over N >= 1 of P(N)/(N+2)
+        answer = min(d_eta * m, nonempty)
+        # P(N = n), and the mass and the (N+1)/(N+2)-weighted mass of N >= n
+        n, p, tail, wtail = 1, m * e, nonempty, nonempty - inv_n2
+        while tail - p >= answer:  # the device answers on every N > n
+            tail, wtail = tail - p, wtail - p * (n + 1) / (n + 2)
+            n += 1
+            p *= m / n
+        return float((wtail - (tail - answer) * (n + 1) / (n + 2)) / answer)
 
 
 def mc_detection_oracle(

@@ -192,6 +192,54 @@ def test_analyze_matches_golden_report(tmp_path, cfg_path, capsys):
         assert report["average"][key] == pytest.approx(np.mean(vals), abs=1e-12)
 
 
+
+def test_analyze_reports_classical_limits(tmp_path, cfg_path):
+    args = _write_analyze_inputs(tmp_path, pm.MemoryConfig())
+    out = tmp_path / "report.json"
+    assert run("analyze", "--config", cfg_path, "--reference", tmp_path / "ref.json",
+               *args, "--out", out) == 0
+    report = json.loads(out.read_text())
+    limits, average = report["classical_limit"], report["average"]
+    assert set(average) == {"sbr", "fidelity", "efficiency"}
+    assert limits["mu"] == pm.MemoryConfig().p_in
+    assert limits["eta"] == average["efficiency"]
+    assert limits["f_classical"] == pm.classical_fidelity_limit(limits["mu"], 1.0)
+    assert limits["f_classical_eta"] == pm.classical_fidelity_limit(limits["mu"], limits["eta"])
+    for key in ("f_classical", "f_classical_eta"):
+        assert limits[f"f_avg_minus_{key}"] == average["fidelity"] - limits[key]
+
+
+def test_analyze_warnings_name_state_and_files(tmp_path):
+    # an ideal memory: signal and reference are both chain * p_in, so noise
+    # lifts efficiencies, and at 10^4 pulses per angle fidelities, above 1
+    cfg = tmp_path / "ideal.json"
+    cfg.write_text('{"eta_h": 1, "eta_v": 1}')
+    args = []
+    for i, s in enumerate(pm.STATE_NAMES):
+        st, sw = tmp_path / f"st_{s}.json", tmp_path / f"sw_{s}.csv"
+        assert run("simulate", "--config", cfg, "--state", s, "--trials", 100_000,
+                   "--seed", 2 + i, "--out", st) == 0
+        assert run("simulate", "--config", cfg, "--kind", "polarimetry", "--state", s,
+                   "--trials", 10_000, "--seed", 12 + i, "--out", sw) == 0
+        args += ["--storage", f"{s}={st}", "--stokes", f"{s}={sw}"]
+    assert run("simulate", "--config", cfg, "--kind", "reference", "--trials", 100_000,
+               "--seed", 101, "--out", tmp_path / "ref.json") == 0
+    out = tmp_path / "r.json"
+    with pytest.warns(UserWarning) as caught:
+        assert run("analyze", "--config", cfg, "--reference", tmp_path / "ref.json",
+                   *args, "--out", out) == 0
+    messages = [str(w.message) for w in caught]
+    report = json.loads(out.read_text())
+    for what, key in (("efficiency estimate", "efficiency"), ("fidelity estimate", "fidelity")):
+        above = [s for s in pm.STATE_NAMES if report["states"][s][key] > 1]
+        assert above, f"no {key} above 1 to warn of"
+        named = [m for m in messages if f"{what} " in m and m.endswith("is above 1")]
+        assert named == [
+            f"state {s} (storage {tmp_path / f'st_{s}.json'}, sweep {tmp_path / f'sw_{s}.csv'}): "
+            f"{what} {report['states'][s][key]!r} is above 1" for s in above
+        ]
+    assert report["classical_limit"]["f_classical_eta"] == report["classical_limit"]["f_classical"]
+
 def test_analyze_missing_state_exit_2(tmp_path, cfg_path):
     args = _write_analyze_inputs(tmp_path, pm.MemoryConfig())
     # drop one --storage pair (keys sit at even offsets: flag, value, ...)
@@ -244,12 +292,25 @@ def test_model_curve_q_zero_exit_2(tmp_path, capsys):
     assert "infinite" in capsys.readouterr().err
 
 
-def test_model_curve_truncated_mass_exit_2(tmp_path, capsys):
+def test_model_curve_large_mean_exit_0(tmp_path, capsys):
+    # eta*p up to 40: every photon number counts, so each row is (R+1/2)/(R+1)
     out = tmp_path / "c.csv"
     assert run("model-curve", "--eta", 1, "--q", 0.005, "--p-min", 1, "--p-max", 40,
-               "--p-points", 4, "--out", out) == 2
-    assert "n_max = 20" in capsys.readouterr().err
-    assert not out.exists()
+               "--p-points", 4, "--out", out) == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert [p for p, _, _ in rows] == [1.0, 14.0, 27.0, 40.0]
+    for p, sbr_v, fid in rows:
+        r = p / 0.005
+        assert sbr_v == pytest.approx(r, rel=1e-12)
+        assert fid == pytest.approx((r + 0.5) / (r + 1.0), rel=1e-12)
+
+
+def test_model_curve_n_max_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("model-curve", "--n-max", 20, "--out", tmp_path / "c.csv")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-max" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--q", "inf"), ("--q", "nan"), ("--p-max", "inf")])
@@ -292,7 +353,7 @@ def test_model_curve_is_fidelity_sbr_curve(tmp_path, monkeypatch):
     out = tmp_path / "curve.json"
     assert run("model-curve", "--format", "json", "--out", out) == 0
     assert len(calls) == 50  # one model evaluation per point
-    rows = pm.fidelity_sbr_curve(0.055, 0.005, 20, np.linspace(0.1, 20, 50))
+    rows = pm.fidelity_sbr_curve(0.055, 0.005, np.linspace(0.1, 20, 50))
     assert json.loads(out.read_text()) == [
         {"p": p, "sbr": s, "fidelity": f} for p, s, f in rows
     ]

@@ -31,6 +31,7 @@ from polmem.polarization import CANONICAL_STATES, STATE_NAMES, StokesVector, sto
 
 ROI = Window(2.4, 3.4)
 BG = Window(6.0, 7.0)
+MU = 1.6  # mean input photons per pulse, for the report's classical limits
 
 
 def make_hist(roi_total=0, bg_total=0, n_trials=1000, n_bins=160, bin_width=0.05):
@@ -302,7 +303,7 @@ def ideal_stokes():
 def test_report_identical_inputs_zero_sem():
     storage = {n: make_hist(268, 100, n_trials=1000) for n in STATE_NAMES}
     reference = ArrivalHistogram(0.0, 0.05, np.array([10_000] + [0] * 159), 1000)
-    report = build_report(storage, reference, ROI, BG, ideal_stokes())
+    report = build_report(storage, reference, ROI, BG, ideal_stokes(), MU)
     for key in ("sbr", "fidelity", "efficiency"):
         assert report.sem[key] == pytest.approx(0.0, abs=1e-12)
     assert report.average["sbr"] == pytest.approx(1.68)
@@ -317,7 +318,7 @@ def test_report_averages_are_means():
         for n in STATE_NAMES
     }
     reference = ArrivalHistogram(0.0, 0.05, np.array([10_000] + [0] * 159), 1000)
-    report = build_report(storage, reference, ROI, BG, ideal_stokes())
+    report = build_report(storage, reference, ROI, BG, ideal_stokes(), MU)
     for key in ("sbr", "fidelity", "efficiency"):
         vals = [getattr(report.states[n], key) for n in STATE_NAMES]
         assert report.average[key] == pytest.approx(np.mean(vals), abs=1e-12)
@@ -337,7 +338,7 @@ def test_report_fidelity_uses_best_rotation():
     }
     storage = {n: make_hist(268, 100, 1000) for n in STATE_NAMES}
     reference = ArrivalHistogram(0.0, 0.05, np.array([10_000] + [0] * 159), 1000)
-    report = build_report(storage, reference, ROI, BG, measured)
+    report = build_report(storage, reference, ROI, BG, measured, MU)
     for n in STATE_NAMES:
         assert report.states[n].fidelity == pytest.approx(1.0, abs=1e-9)
 
@@ -350,7 +351,7 @@ def test_report_diluted_states_give_half_one_plus_dop():
     }
     storage = {n: make_hist(268, 100, 1000) for n in STATE_NAMES}
     reference = ArrivalHistogram(0.0, 0.05, np.array([10_000] + [0] * 159), 1000)
-    report = build_report(storage, reference, ROI, BG, measured)
+    report = build_report(storage, reference, ROI, BG, measured, MU)
     assert report.average["fidelity"] == pytest.approx(0.5 * (1 + dop), abs=1e-9)
 
 
@@ -358,19 +359,24 @@ def test_report_missing_state_rejected():
     storage = {n: make_hist(268, 100, 1000) for n in STATE_NAMES if n != "L"}
     reference = ArrivalHistogram(0.0, 0.05, np.array([10_000] + [0] * 159), 1000)
     with pytest.raises(DataError, match="L"):
-        build_report(storage, reference, ROI, BG, ideal_stokes())
+        build_report(storage, reference, ROI, BG, ideal_stokes(), MU)
 
 
 def test_report_serialization_shapes():
     storage = {n: make_hist(268, 100, 1000) for n in STATE_NAMES}
     reference = ArrivalHistogram(0.0, 0.05, np.array([10_000] + [0] * 159), 1000)
-    report = build_report(storage, reference, ROI, BG, ideal_stokes())
+    report = build_report(storage, reference, ROI, BG, ideal_stokes(), MU)
     data = report.to_json()
-    assert set(data) == {"states", "average", "sem"}
+    assert set(data) == {"states", "average", "sem", "classical_limit"}
     assert set(data["states"]) == set(STATE_NAMES)
     text = report.to_text()
     assert text.splitlines()[0].split() == ["state", "SBR", "fidelity", "efficiency"]
     assert any(line.startswith("average") for line in text.splitlines())
+    limits = [line for line in text.splitlines() if line.startswith("classical limit")]
+    assert limits == [
+        "classical limit, mu = 1.6: 0.7340; average fidelity minus it: +0.2660",
+        "classical limit, mu = 1.6, eta = 0.0168: 0.8591; average fidelity minus it: +0.1409",
+    ]
 
 
 def test_state_result_validates_efficiency_range():
@@ -386,15 +392,37 @@ def test_report_ideal_memory_efficiency_above_1_reported_with_warning():
     storage = {n: simulate_histogram(config, CANONICAL_STATES[n], None, 100_000, 2 + i)
                for i, n in enumerate(STATE_NAMES)}
     reference = simulate_reference(config, 100_000, 101)
-    with pytest.warns(UserWarning, match="above 1"):
-        report = build_report(storage, reference, ROI, BG, ideal_stokes())
-    assert max(r.efficiency for r in report.states.values()) > 1.0
+    with pytest.warns(UserWarning, match="above 1") as caught:
+        report = build_report(storage, reference, ROI, BG, ideal_stokes(), MU)
+    above = [n for n in STATE_NAMES if report.states[n].efficiency > 1.0]
+    assert above
+    # once per state, naming it
+    assert [str(w.message) for w in caught] == [
+        f"state {n}: efficiency estimate {report.states[n].efficiency!r} is above 1" for n in above
+    ]
+    # an efficiency above 1 lets the device answer on every non-empty pulse
+    limits = report.classical
+    assert limits["eta"] > 1.0
+    assert limits["f_classical_eta"] == limits["f_classical"]
 
 
 def test_report_negative_efficiency_reported_with_warning():
     storage = {n: make_hist(100, 120, n_trials=1000) for n in STATE_NAMES}
     reference = ArrivalHistogram(0.0, 0.05, np.array([10_000] + [0] * 159), 1000)
-    with pytest.warns(UserWarning, match="negative"):
-        report = build_report(storage, reference, ROI, BG, ideal_stokes())
+    with pytest.warns(UserWarning) as caught:
+        report = build_report(storage, reference, ROI, BG, ideal_stokes(), MU)
     assert report.average["efficiency"] == pytest.approx(-0.002)
     assert report.average["sbr"] == pytest.approx(-20 / 120)
+    assert [str(w.message) for w in caught[:-1]] == [
+        f"state {n}: negative background-subtracted counts; efficiency estimate is < 0"
+        for n in STATE_NAMES
+    ]
+    # no eta-aware limit at an efficiency <= 0: the eta-free one stands alone
+    assert str(caught[-1].message) == (
+        f"average efficiency {report.average['efficiency']} <= 0: "
+        "only the eta-free classical limit is reported"
+    )
+    limits = report.to_json()["classical_limit"]
+    assert limits["f_classical_eta"] is None and limits["f_avg_minus_f_classical_eta"] is None
+    assert limits["f_avg_minus_f_classical"] == 1.0 - limits["f_classical"]
+    assert sum("classical limit" in line for line in report.to_text().splitlines()) == 1

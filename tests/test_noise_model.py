@@ -1,13 +1,15 @@
-"""Detection-model tests.
+"""Detection-model and classical-limit tests.
 
-The truncated double sum is pinned against values computed with an
-arbitrary-precision oracle (mpmath, 40 digits) and against the closed form
-that the infinite sums collapse to:
+The model's closed form, the double sum over (n, m) of P(n)P(m) n/(n+m)
+and m/(n+m) taken over every photon number,
 
-    P_s + P_bg = 1 - exp(-(eta p + q)),   P_s / (P_s + P_bg) = eta p / (eta p + q)
+    P_s + P_bg = 1 - exp(-(eta p + q)),   P_s / (P_s + P_bg) = eta p / (eta p + q),
 
-so the model's conditional fidelity is exactly (R + 1/2)/(R + 1) with
-R = eta p / q.  Monte Carlo agreement is tested separately.
+is pinned against an arbitrary-precision evaluation (mpmath, 40 digits) of
+the same untruncated sums, so the model's conditional fidelity is exactly
+(R + 1/2)/(R + 1) with R = eta p / q.  The classical measure-and-prepare limit
+is pinned against its eta-free closed form and against mpmath series.  Monte
+Carlo agreement is tested separately.
 """
 
 import hashlib
@@ -21,10 +23,9 @@ from numpy.testing import assert_allclose
 
 from polmem.errors import ConfigError, DataError, UndefinedRatioError
 from polmem.noise_model import (
-    DEFAULT_N_MAX,
-    MAX_N_MAX,
     DetectionProbs,
     NoiseModelParams,
+    classical_fidelity_limit,
     detection_probs,
     fidelity_sbr_curve,
     mc_detection_oracle,
@@ -33,30 +34,23 @@ from polmem.streams import chunk_layout
 
 STANDARD_PARAMS = NoiseModelParams(eta=0.055, p=1.6, q=0.005)
 
-# frozen from the mpmath oracle below at 40 digits (n_max = 20)
+# frozen from a 40-digit mpmath double sum cut at 20 photons of each kind;
+# the untruncated closed form at 40 digits rounds to the same floats
 P_SIGNAL_STD = 0.08403195670902829
 P_BACKGROUND_STD = 0.0047745429948311529
 FIDELITY_STD = 0.97311827956989247
 
 
-def oracle_probs(eta, p, q, n_max):
-    """Arbitrary-precision double sum, fully independent implementation."""
+def oracle_probs(eta, p, q):
+    """The untruncated sums in 40-digit arithmetic: n + m is Poisson of mean
+    lam = eta p + q, and each photon is signal with probability eta p / lam."""
     with mpmath.workdps(40):
         sp = mpmath.mpf(eta) * mpmath.mpf(p)
-        qq = mpmath.mpf(q)
-        ps = mpmath.mpf(0)
-        pbg = mpmath.mpf(0)
-        for n in range(n_max + 1):
-            for m in range(n_max + 1):
-                if n == 0 and m == 0:
-                    continue
-                w = (
-                    mpmath.e ** (-sp) * sp**n / mpmath.factorial(n)
-                    * mpmath.e ** (-qq) * qq**m / mpmath.factorial(m)
-                )
-                ps += w * n / (n + m)
-                pbg += w * m / (n + m)
-        return float(ps), float(pbg)
+        lam = sp + mpmath.mpf(q)
+        if lam == 0:
+            return 0.0, 0.0
+        total = -mpmath.expm1(-lam)
+        return float(total * sp / lam), float(total * mpmath.mpf(q) / lam)
 
 
 def test_params_validation():
@@ -64,11 +58,6 @@ def test_params_validation():
         NoiseModelParams(eta=1.2, p=1.0, q=0.0)
     with pytest.raises(DataError):
         NoiseModelParams(eta=0.5, p=-1.0, q=0.0)
-    with pytest.raises(DataError):
-        NoiseModelParams(eta=0.5, p=1.0, q=0.0, n_max=0)
-    with pytest.raises(DataError, match="n_max must lie in"):
-        NoiseModelParams(eta=0.5, p=1.0, q=0.0, n_max=MAX_N_MAX + 1)
-    assert NoiseModelParams(eta=0.5, p=1.0, q=0.0, n_max=MAX_N_MAX).n_max == MAX_N_MAX
     for p, q in ((math.inf, 0.0), (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(DataError):
             NoiseModelParams(eta=0.5, p=p, q=q)
@@ -89,8 +78,9 @@ def test_detection_probs_frozen_oracle_values():
 
 
 def test_detection_probs_bits_pinned_on_criterion_1_grid():
-    # the reprs of every (p_signal, p_background) on criterion 1's 5x5x5 grid
-    # at the default n_max; a last-ulp move in any cell changes the digest
+    # the reprs of every (p_signal, p_background) on criterion 1's 5x5x5 grid;
+    # a last-ulp move in any cell, e.g. from reordering the closed form's
+    # operations, changes the digest
     grid = itertools.product(
         np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 5)
     )
@@ -99,28 +89,26 @@ def test_detection_probs_bits_pinned_on_criterion_1_grid():
         probs = detection_probs(NoiseModelParams(float(eta), float(p), float(q)))
         rows.append((probs.p_signal, probs.p_background))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "8acd90b6d275c52516c53de394e857b11e11914fd73b3d702d73cc765b6d18b7"
+        "8938c009d7e7540cad35b8da0c0a498f9f1ceb191c923ca73cf35a64a17c514f"
     )
 
 
 def test_detection_probs_against_mpmath_oracle_grid():
-    for eta, p, q in [(0.055, 1.6, 0.005), (0.3, 0.5, 0.2), (1.0, 2.0, 2.0), (0.0, 1.0, 0.7)]:
-        params = NoiseModelParams(eta=eta, p=p, q=q, n_max=12)
-        probs = detection_probs(params)
-        ps, pbg = oracle_probs(eta, p, q, 12)
+    for eta, p, q in [(0.055, 1.6, 0.005), (0.3, 0.5, 0.2), (1.0, 2.0, 2.0), (0.0, 1.0, 0.7),
+                      (1.0, 20.0, 0.005)]:
+        probs = detection_probs(NoiseModelParams(eta=eta, p=p, q=q))
+        ps, pbg = oracle_probs(eta, p, q)
         assert math.isclose(probs.p_signal, ps, rel_tol=1e-12, abs_tol=1e-15)
         assert math.isclose(probs.p_background, pbg, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_detection_probs_closed_form_identities():
-    # the untruncated sums collapse: total = 1 - exp(-(sp+q)), split sp : q;
-    # means of several hundred put ln k! up to k = 1100 into every pmf
-    for eta, p, q, n_max in [
-        (0.055, 1.6, 0.005, 40), (0.4, 1.2, 0.3, 40), (0.9, 0.05, 0.8, 40),
-        (1.0, 400.0, 300.0, 1100), (0.5, 900.0, 150.0, 1100), (0.2, 1000.0, 550.0, 1100),
+    # the untruncated sums collapse: total = 1 - exp(-(sp+q)), split sp : q
+    for eta, p, q in [
+        (0.055, 1.6, 0.005), (0.4, 1.2, 0.3), (0.9, 0.05, 0.8),
+        (1.0, 400.0, 300.0), (0.5, 900.0, 150.0), (0.2, 1000.0, 550.0),
     ]:
-        params = NoiseModelParams(eta=eta, p=p, q=q, n_max=n_max)
-        probs = detection_probs(params)
+        probs = detection_probs(NoiseModelParams(eta=eta, p=p, q=q))
         total = 1.0 - math.exp(-(eta * p + q))
         assert math.isclose(probs.p_signal + probs.p_background, total, rel_tol=1e-12)
         assert math.isclose(
@@ -128,17 +116,21 @@ def test_detection_probs_closed_form_identities():
         )
 
 
-def test_truncation_converged_at_default():
-    tight = detection_probs(NoiseModelParams(eta=1.0, p=2.0, q=2.0, n_max=DEFAULT_N_MAX))
-    wide = detection_probs(NoiseModelParams(eta=1.0, p=2.0, q=2.0, n_max=40))
-    assert math.isclose(tight.p_signal, wide.p_signal, abs_tol=1e-12)
-    assert math.isclose(tight.p_background, wide.p_background, abs_tol=1e-12)
+def test_large_signal_mean_is_exact():
+    # eta*p = 20 drops no Poisson mass: no photon number is cut off
+    probs = detection_probs(NoiseModelParams(1.0, 20.0, 0.005))
+    r = 20.0 / 0.005
+    assert math.isclose(probs.sbr, r, rel_tol=1e-12)
+    assert math.isclose(probs.fidelity, (r + 0.5) / (r + 1.0), rel_tol=1e-12)
 
 
-def test_truncation_dropping_mass_is_refused():
-    # at n_max = 20 the sums would drop 44% of the Poisson mass at eta*p = 20
-    with pytest.raises(DataError, match=r"eta\*p = 20 and q = 0.005.*raise n_max"):
-        detection_probs(NoiseModelParams(1.0, 20.0, 0.005))
+def test_detection_probs_split_survives_mean_overflow():
+    # eta*p + q overflows to inf: the split is still eta*p : q, never (0, 0)
+    even = detection_probs(NoiseModelParams(1.0, 1e308, 1e308))
+    assert even == DetectionProbs(0.5, 0.5)
+    lopsided = detection_probs(NoiseModelParams(1.0, 1e308, 1e300))
+    assert math.isclose(lopsided.sbr, 1e8, rel_tol=1e-12)
+    assert math.isclose(lopsided.p_signal + lopsided.p_background, 1.0, rel_tol=1e-15)
 
 
 def test_degenerate_corners():
@@ -155,7 +147,7 @@ def test_degenerate_corners():
 def test_model_fidelity_and_sbr():
     probs = detection_probs(STANDARD_PARAMS)
     assert math.isclose(probs.fidelity, FIDELITY_STD, rel_tol=1e-12)
-    # R = eta p / q is exact for the model, independent of truncation
+    # R = eta p / q is exact for the model
     assert math.isclose(probs.sbr, 0.055 * 1.6 / 0.005, rel_tol=1e-12)
     r = probs.sbr
     assert math.isclose(probs.fidelity, (r + 0.5) / (r + 1.0), rel_tol=1e-12)
@@ -183,7 +175,7 @@ def test_model_fidelity_and_sbr():
 
 def test_fidelity_sbr_curve_properties():
     grid = np.linspace(0.05, 20, 30)
-    curve = fidelity_sbr_curve(0.055, 0.005, 20, list(grid))
+    curve = fidelity_sbr_curve(0.055, 0.005, list(grid))
     ps, sbrs, fids = (np.array(col) for col in zip(*curve))
     assert np.array_equal(ps, grid)  # rows in grid order
     assert np.all(np.diff(sbrs) > 0)
@@ -195,16 +187,85 @@ def test_fidelity_sbr_curve_properties():
 
 def test_fidelity_sbr_curve_validation():
     with pytest.raises(DataError):
-        fidelity_sbr_curve(0.055, 0.005, 20, [])
+        fidelity_sbr_curve(0.055, 0.005, [])
     with pytest.raises(DataError):
-        fidelity_sbr_curve(0.055, 0.005, 20, [0.0, 1.0])
+        fidelity_sbr_curve(0.055, 0.005, [0.0, 1.0])
     with pytest.raises(DataError):
-        fidelity_sbr_curve(0.055, 0.005, 20, [1.0, 0.5])
+        fidelity_sbr_curve(0.055, 0.005, [1.0, 0.5])
     with pytest.raises(DataError):
-        fidelity_sbr_curve(0.055, 0.005, 20, [1.0, 1.0])
+        fidelity_sbr_curve(0.055, 0.005, [1.0, 1.0])
     with pytest.raises(UndefinedRatioError):
-        fidelity_sbr_curve(0.055, 0.0, 20, [1.0])
+        fidelity_sbr_curve(0.055, 0.0, [1.0])
 
+
+
+def oracle_classical_limit(mu, eta):
+    """The measure-and-prepare limit in 40-digit arithmetic, its tails from the
+    regularized incomplete gamma function and an infinite mpmath series."""
+    with mpmath.workdps(40):
+        mu = mpmath.mpf(mu)
+
+        def tail(n):  # P(N >= n) for n >= 1
+            return mpmath.gammainc(n, 0, mu, regularized=True)
+
+        answer = min(mpmath.mpf(eta) * mu, tail(1))
+        n = 1
+        while tail(n + 1) >= answer:
+            n += 1
+        answered = mpmath.nsum(
+            lambda k: mpmath.exp(-mu) * mu**k / mpmath.factorial(k) * (k + 1) / (k + 2),
+            [n + 1, mpmath.inf],
+        )
+        return float((answered + (answer - tail(n + 1)) * mpmath.mpf(n + 1) / (n + 2)) / answer)
+
+
+def test_classical_limit_eta_free():
+    for mu, rounded in ((0.5, 0.6878), (1.0, 0.7090), (1.6, 0.7340), (3.0, 0.7865)):
+        f = classical_fidelity_limit(mu, 1.0)
+        e_inv = (mu - 1 + math.exp(-mu)) / mu**2  # E[1/(N+2)]
+        closed = 1 - (e_inv - math.exp(-mu) / 2) / (1 - math.exp(-mu))
+        assert math.isclose(f, closed, rel_tol=1e-12)
+        with mpmath.workdps(40):
+            m = mpmath.mpf(mu)
+            series = mpmath.nsum(
+                lambda n: mpmath.exp(-m) * m**n / mpmath.factorial(n) * (n + 1) / (n + 2),
+                [1, mpmath.inf],
+            ) / -mpmath.expm1(-m)
+        assert math.isclose(f, float(series), rel_tol=1e-12)
+        assert round(f, 4) == rounded
+        # eta >= 1 answers on every non-empty pulse, and so does any eta*mu >= P(N >= 1)
+        assert classical_fidelity_limit(mu, 7.5) == f
+        assert classical_fidelity_limit(mu, (1 - math.exp(-mu)) / mu * 1.001) == f
+
+
+def test_classical_limit_eta_aware_against_mpmath():
+    # small eta*mu and small mu make the head sums cancel many digits, which
+    # the decimal arithmetic must absorb
+    for mu, eta in [(1.6, 0.055), (0.5, 0.055), (1.0, 0.3), (3.0, 0.01), (20.0, 0.5),
+                    (0.1, 0.9), (7.0, 0.001), (1.6, 0.6), (1.6, 1e-17), (1e-8, 1.0),
+                    (1e-6, 0.3), (300.0, 1e-4)]:
+        got = classical_fidelity_limit(mu, eta)
+        assert math.isclose(got, oracle_classical_limit(mu, eta), rel_tol=1e-12), (mu, eta)
+    # eta normalized per photon, eta*mu answers per pulse; per pulse (eta) it
+    # would be 0.846, per non-empty pulse (eta (1 - e^-mu)) 0.849
+    assert round(classical_fidelity_limit(1.6, 0.055), 3) == 0.838
+    assert round(classical_fidelity_limit(0.5, 0.055), 3) == 0.778
+    # answering less often means answering on higher N only: F falls as eta rises
+    fs = [classical_fidelity_limit(1.6, eta) for eta in np.linspace(0.001, 1.0, 200)]
+    assert np.all(np.diff(fs) <= 0)
+    assert fs[-1] == classical_fidelity_limit(1.6, 1.0) < fs[0] < 1.0
+
+
+def test_classical_limit_domain():
+    for mu in (0.0, -1.0, math.inf, math.nan, 709.0):
+        with pytest.raises(DataError, match="mu must lie in"):
+            classical_fidelity_limit(mu, 0.5)
+    for eta in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(DataError, match="eta must be"):
+            classical_fidelity_limit(1.6, eta)
+    # the edges of the domain still give a fidelity in [(N+1)/(N+2) for N = 1, 1)
+    for mu, eta in ((707.0, 0.5), (1e-300, 1.0), (1.6, 5e-324)):
+        assert 2 / 3 <= classical_fidelity_limit(mu, eta) < 1.0
 
 def test_mc_oracle_agrees_with_model(base=101):
     trials = 400_000
