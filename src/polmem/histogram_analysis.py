@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import ArrivalHistogram, FitResult, SweepSeries, Window
 from .errors import ConfigError, DataError, FitError, UndefinedRatioError
-from .noise_model import classical_fidelity_limit
+from .noise_model import MEAN_LIMIT, classical_fidelity_limit
 from .polarization import (
     CANONICAL_STATES,
     STATE_NAMES,
@@ -233,17 +233,20 @@ class StorageReport:
         efficiency as eta, and the average fidelity minus each: plain
         differences, with no error.  At eta >= 1 the two limits are equal; at
         eta <= 0 the eta-aware limit is undefined, so it and its difference
-        are None."""
+        are None.  Outside classical_fidelity_limit's domain 0 < mu <
+        MEAN_LIMIT, both limits and both differences are None."""
         average = self.average
         fid, eta = average["fidelity"], average["efficiency"]
-        f_cl = classical_fidelity_limit(self.mu, 1.0)
-        f_eta = classical_fidelity_limit(self.mu, eta) if eta > 0 else None
+        f_cl = f_eta = None
+        if 0 < self.mu < MEAN_LIMIT:
+            f_cl = classical_fidelity_limit(self.mu, 1.0)
+            f_eta = classical_fidelity_limit(self.mu, eta) if eta > 0 else None
         return {
             "mu": self.mu,
             "eta": eta,
             "f_classical": f_cl,
             "f_classical_eta": f_eta,
-            "f_avg_minus_f_classical": fid - f_cl,
+            "f_avg_minus_f_classical": None if f_cl is None else fid - f_cl,
             "f_avg_minus_f_classical_eta": None if f_eta is None else fid - f_eta,
         }
 
@@ -259,12 +262,12 @@ class StorageReport:
         lines += [f"{name:<8}{v['sbr']:>8.3f}{v['fidelity']:>10.4f}{v['efficiency']:>12.4f}"
                   for name, v in rows]
         c = self.classical
-        limits = [("", c["f_classical"], c["f_avg_minus_f_classical"])]
-        if c["f_classical_eta"] is not None:
-            limits.append((f", eta = {c['eta']:.4f}", c["f_classical_eta"],
-                           c["f_avg_minus_f_classical_eta"]))
+        limits = [("", c["f_classical"], c["f_avg_minus_f_classical"]),
+                  (f", eta = {c['eta']:.4f}", c["f_classical_eta"], c["f_avg_minus_f_classical_eta"])]
         lines += [f"classical limit, mu = {c['mu']:g}{at}: {f:.4f}; "
-                  f"average fidelity minus it: {d:+.4f}" for at, f, d in limits]
+                  f"average fidelity minus it: {d:+.4f}" for at, f, d in limits if f is not None]
+        if c["f_classical"] is None:
+            lines.append(f"classical limit, mu = {c['mu']:g}: none outside 0 < mu < {MEAN_LIMIT:g}")
         return "\n".join(lines)
 
 
@@ -300,7 +303,8 @@ def build_report(
     An efficiency outside [0, 1] or a fidelity above 1 is kept unclamped and
     warned of once, naming its state and, when sources maps the state to a
     description of its input files, those files.  An average efficiency <= 0
-    leaves only the eta-free limit, with a warning.
+    leaves only the eta-free limit, and mu outside (0, MEAN_LIMIT) leaves
+    neither, each with a warning.
     """
     for name, mapping in (("storage histogram", storage), ("measured Stokes", measured_stokes)):
         missing = [s for s in STATE_NAMES if s not in mapping]
@@ -325,7 +329,11 @@ def build_report(
         states[name] = StateResult(sbr=sbr(storage[name], roi, bg), fidelity=f, efficiency=efficiency)
 
     report = StorageReport(states, mu)
-    if report.classical["f_classical_eta"] is None:
-        eta = report.average["efficiency"]
-        warnings.warn(f"average efficiency {eta} <= 0: only the eta-free classical limit is reported")
+    limits = report.classical
+    if limits["f_classical"] is None:
+        warnings.warn(f"mu = {mu} lies outside (0, {MEAN_LIMIT:g}), where the classical limits "
+                      "are computed: no classical limit is reported")
+    elif limits["f_classical_eta"] is None:
+        warnings.warn(f"average efficiency {limits['eta']} <= 0: "
+                      "only the eta-free classical limit is reported")
     return report

@@ -8,17 +8,26 @@ gives the detection probabilities in closed form, from which fidelity and
 signal-to-background ratio follow.  Beside the model sits the classical limit
 that its fidelity is measured against: the best measure-and-prepare device
 for Poissonian input pulses.
+
+The model's Monte Carlo oracle draws n and m literally, each by exact
+inverse-CDF sampling from a Poisson table with a guide table, and makes the
+n/(n+m) pick with a third uniform, so it checks the closed form without
+resting on the thinning identity the closed form uses.
 """
 
 import decimal
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UndefinedRatioError
-from .streams import check_poisson_mean, map_chunks, usable_cpus
+from .errors import ConfigError, DataError, UndefinedRatioError
+from .streams import check_trials, map_chunks, usable_cpus
+
+# every Poisson mean here lies below this, so that exp(-mean) is a normal float
+MEAN_LIMIT = 708.0
+# buckets of the oracle's guide table over [0, 1)
+_GUIDE_BUCKETS = 4096
 
 
 @dataclass(frozen=True)
@@ -127,11 +136,11 @@ def classical_fidelity_limit(mu: float, eta: float) -> float:
     the Poisson terms below, so no photon number is cut off.  The differences
     cancel up to three digits per decade that eta*mu lies below 1, so they
     are taken in decimal arithmetic with 25 digits more than that, and F is
-    exact to the float it is returned as.  mu must lie in (0, 708), where
-    P(N = 0) = e^-mu is a normal float.
+    exact to the float it is returned as.  mu must lie in (0, MEAN_LIMIT),
+    where P(N = 0) = e^-mu is a normal float.
     """
-    if not 0 < mu < math.inf or math.exp(-mu) < sys.float_info.min:
-        raise DataError(f"mu must lie in (0, 708), where exp(-mu) is a normal float, got {mu}")
+    if not 0 < mu < MEAN_LIMIT:
+        raise DataError(f"mu must lie in (0, {MEAN_LIMIT:g}), where exp(-mu) is a normal float, got {mu}")
     if not 0 < eta < math.inf:
         raise DataError(f"eta must be finite and > 0, got {eta}")
     m, d_eta = decimal.Decimal(mu), decimal.Decimal(eta)
@@ -150,6 +159,45 @@ def classical_fidelity_limit(mu: float, eta: float) -> float:
         return float((wtail - (tail - answer) * (n + 1) / (n + 2)) / answer)
 
 
+class _PoissonInverseCdf:
+    """Exact Poisson draws of one mean from uniforms on [0, 1).
+
+    cdf[k] = P(N <= k) is summed left to right from p_0 = e^-mean and
+    p_{k+1} = p_k mean/(k+1), past the mean until a term drops below 1e-17,
+    and its last entry is set to 1.  A uniform u draws N = #{k : cdf[k] <= u},
+    which is np.searchsorted(cdf, u, side="right").  A guide table (Chen and
+    Asau, AIIE Trans. 6, 163 (1974)) splits [0, 1) into equal buckets: one
+    that holds no cdf entry gives the same N to every u in it, so only draws
+    in the few buckets that hold one are searched.
+    """
+
+    def __init__(self, mean: float):
+        p = total = math.exp(-mean)
+        cdf, k = [total], 0
+        while k <= mean or p >= 1e-17:
+            k += 1
+            p *= mean / k
+            total += p
+            cdf.append(total)
+        cdf[-1] = 1.0
+        # a sum that rounds above 1 before the end is never <= u: capping it keeps cdf sorted
+        self.cdf = np.minimum(cdf, 1.0)
+        edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+        first = np.searchsorted(self.cdf, edges[:-1], side="right")  # N at the bucket's left edge
+        last = np.searchsorted(self.cdf, edges[1:], side="left")  # N just below its right edge
+        self._guide = np.where(first == last, first, -1).astype(np.int32)
+        # scaling by a power of two is exact: u * B in cdf * B ranks as u in cdf (B buckets)
+        self._scaled = self.cdf * _GUIDE_BUCKETS
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """Counts (int32) for the uniforms u, which are scaled in place."""
+        u *= _GUIDE_BUCKETS
+        n = self._guide[u.astype(np.intp)]
+        searched = np.flatnonzero(n < 0)
+        n[searched] = np.searchsorted(self._scaled, u[searched], side="right")
+        return n
+
+
 def mc_detection_oracle(
     params: NoiseModelParams, trials: int, seed: int, workers: int | None = None
 ) -> DetectionProbs:
@@ -157,36 +205,36 @@ def mc_detection_oracle(
 
     Per trial, draws the Poisson pair (n, m) and detects one photon: signal
     with probability n/(n+m), background otherwise; no photons, no
-    detection.  Output is a pure function of (params, trials, seed): it is
+    detection.  Each chunk draws three uniform vectors in order, for n, for m
+    and for the pick: n and m by inverse CDF (see _PoissonInverseCdf), and a
+    signal click where u * (n + m) < n.  Both means must lie below
+    MEAN_LIMIT.  Output is a pure function of (params, trials, seed): it is
     bit-identical for any `workers`, which defaults to the usable CPU count
     (`streams.usable_cpus`); `workers=1` runs serially.
     """
+    check_trials(trials)
+    sp, q = params.signal_mean, params.q
+    for what, mean in (("signal mean (eta * p)", sp), ("background mean (q)", q)):
+        if not mean < MEAN_LIMIT:
+            raise ConfigError(f"{what} {mean:.6g} is not below {MEAN_LIMIT:g}, "
+                              "where exp(-mean) is a normal float")
+    if sp == q == 0:
+        return DetectionProbs(0.0, 0.0)
     if workers is None:
         workers = usable_cpus()
-    sp, q = params.signal_mean, params.q
-    check_poisson_mean("signal mean (eta * p)", sp, 1)
-    check_poisson_mean("background mean (q)", q, 1)
-    # the two-source branch adds the draws in int64
-    check_poisson_mean("total mean (eta * p + q)", sp + q, 1)
+    signal, background = _PoissonInverseCdf(sp), _PoissonInverseCdf(q)
 
     def run(rng, size):
-        # the uniform pick is only needed when both sources can fire: with
-        # m = 0 every click is signal, with n = 0 every click is background
-        if sp > 0 and q > 0:
-            # in place, so each worker holds three chunk-sized arrays
-            n = rng.poisson(sp, size)
-            tot = rng.poisson(q, size)
-            tot += n
-            u = rng.random(size)
-            u *= tot
-            n_det = int(np.count_nonzero(tot))
-            n_sig = int(np.count_nonzero(u < n))
-            return n_sig, n_det - n_sig
-        if sp > 0:
-            return int(np.count_nonzero(rng.poisson(sp, size))), 0
-        if q > 0:
-            return 0, int(np.count_nonzero(rng.poisson(q, size)))
-        return 0, 0
+        u = rng.random(size)  # one buffer for all three uniform vectors
+        n = signal(u)
+        rng.random(out=u)
+        tot = background(u)
+        tot += n
+        rng.random(out=u)
+        u *= tot
+        n_det = int(np.count_nonzero(tot))
+        n_sig = int(np.count_nonzero(u < n))
+        return n_sig, n_det - n_sig
 
     counts = map_chunks(run, trials, seed, workers)
     n_sig = sum(c[0] for c in counts)

@@ -40,7 +40,7 @@ def _random_pure(rng):
     return v / np.linalg.norm(v)
 
 
-def test_criterion_1_model_vs_oracle():
+def test_criterion_1_model_vs_oracle(base=1000):
     """detection_probs vs. Monte Carlo at 3 binomial sigma, 5x5x5 grid, <60 s."""
     trials = 10_000_000
     etas = np.linspace(0.0, 1.0, 5)
@@ -54,7 +54,7 @@ def test_criterion_1_model_vs_oracle():
             for q in qs:
                 params = NoiseModelParams(eta=float(eta), p=float(p), q=float(q))
                 model = detection_probs(params)
-                est = mc_detection_oracle(params, trials, seed=1000 + cell)
+                est = mc_detection_oracle(params, trials, seed=base + cell)
                 for truth, got in (
                     (model.p_signal, est.p_signal),
                     (model.p_background, est.p_background),

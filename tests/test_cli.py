@@ -209,6 +209,23 @@ def test_analyze_reports_classical_limits(tmp_path, cfg_path):
         assert limits[f"f_avg_minus_{key}"] == average["fidelity"] - limits[key]
 
 
+
+def test_analyze_reports_no_classical_limit_above_its_domain(tmp_path):
+    # simulate accepts p_in = 800, but e^-800 is no normal float, so the
+    # classical limits are not computed: null, with a warning naming mu
+    cfg = tmp_path / "bright.json"
+    pm.MemoryConfig(p_in=800.0).save(cfg)
+    args = _write_analyze_inputs(tmp_path, pm.MemoryConfig(p_in=800.0))
+    out = tmp_path / "report.json"
+    with pytest.warns(UserWarning, match="mu = 800.0 lies outside \\(0, 708\\)"):
+        assert run("analyze", "--config", cfg, "--reference", tmp_path / "ref.json",
+                   *args, "--out", out) == 0
+    limits = json.loads(out.read_text())["classical_limit"]
+    assert limits["mu"] == 800.0
+    for key in ("f_classical", "f_classical_eta", "f_avg_minus_f_classical",
+                "f_avg_minus_f_classical_eta"):
+        assert limits[key] is None
+
 def test_analyze_warnings_name_state_and_files(tmp_path):
     # an ideal memory: signal and reference are both chain * p_in, so noise
     # lifts efficiencies, and at 10^4 pulses per angle fidelities, above 1

@@ -23,8 +23,10 @@ from numpy.testing import assert_allclose
 
 from polmem.errors import ConfigError, DataError, UndefinedRatioError
 from polmem.noise_model import (
+    MEAN_LIMIT,
     DetectionProbs,
     NoiseModelParams,
+    _PoissonInverseCdf,
     classical_fidelity_limit,
     detection_probs,
     fidelity_sbr_curve,
@@ -294,11 +296,64 @@ def test_mc_oracle_deterministic_across_workers():
     "params, what",
     [(NoiseModelParams(eta=1.0, p=1e300, q=0.0), "eta \\* p"),
      (NoiseModelParams(eta=0.5, p=1.0, q=1e19), "background mean \\(q\\)"),
-     (NoiseModelParams(eta=1.0, p=5e18, q=5e18), "total mean")],
+     (NoiseModelParams(eta=1.0, p=5e18, q=5e18), "eta \\* p"),
+     (NoiseModelParams(eta=1.0, p=MEAN_LIMIT, q=0.0), "eta \\* p"),
+     (NoiseModelParams(eta=0.5, p=1.0, q=MEAN_LIMIT), "background mean \\(q\\)")],
 )
 def test_mc_oracle_refuses_means_above_poisson_limit(params, what):
     with pytest.raises(ConfigError, match=what):
         mc_detection_oracle(params, 1000, 1)
+
+
+def test_mc_oracle_accepts_means_just_below_limit():
+    # at means of 707.9 every trial holds hundreds of photons, so every trial clicks
+    assert MEAN_LIMIT == 708.0
+    for params in (NoiseModelParams(eta=1.0, p=707.9, q=0.0),
+                   NoiseModelParams(eta=0.5, p=1.0, q=707.9),
+                   NoiseModelParams(eta=1.0, p=707.9, q=707.9)):
+        est = mc_detection_oracle(params, 1000, 1)
+        assert est.p_signal + est.p_background == 1.0
+    assert est.p_signal == pytest.approx(0.5, abs=0.1)
+
+
+# criterion 1 draws means in [0, 2]; at 50 the running sum rounds above 1
+# five entries before the table's end, so the table must cap it to stay sorted
+SAMPLER_MEANS = [1e-7, 0.5, 1.0, 2.0, 30.0, 50.0, 707.0]
+
+
+@pytest.mark.parametrize("mean", SAMPLER_MEANS)
+def test_poisson_table_matches_scipy_cdf(mean):
+    from scipy.stats import poisson
+
+    cdf = _PoissonInverseCdf(mean).cdf
+    k = np.arange(len(cdf))
+    # the table runs past the mean until a term drops below 1e-17, and ends at 1
+    assert k[-1] > mean and poisson.pmf(k[-1], mean) < 1e-17
+    assert k[-2] <= mean or poisson.pmf(k[-2], mean) >= 1e-17
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+    # scipy's own cdf errs by up to 7e-13 at mean 707 (against 40-digit mpmath)
+    assert_allclose(cdf, poisson.cdf(k, mean), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("mean", SAMPLER_MEANS)
+def test_poisson_guide_lookup_is_exact_search(mean):
+    sampler = _PoissonInverseCdf(mean)
+    cdf = sampler.cdf
+    edges = np.arange(4096) / 4096
+    u = np.concatenate([
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+        np.linspace(0.0, 1.0, 1 << 20, endpoint=False), [np.nextafter(1.0, 0.0)],
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    got = sampler(u.copy())
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
+def test_poisson_mean_zero_draws_only_zeros():
+    u = np.concatenate([np.linspace(0.0, 1.0, 10_000, endpoint=False), [np.nextafter(1.0, 0.0)]])
+    assert not np.any(_PoissonInverseCdf(0.0)(u))
 
 
 def test_mc_oracle_and_chunk_layout_refuse_no_trials():

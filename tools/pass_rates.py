@@ -1,14 +1,16 @@
 """Pass rates of the fixed-seed statistical tests in tests/.
 
     python3 tools/pass_rates.py --seeds 1000
+    python3 tools/pass_rates.py --seeds 20 --only criterion_1
 
 A statistical test takes its seeds from one argument, `base`, whose default
 gives the test's committed seeds.  This script finds every `test_*` function
 in tests/test_*.py whose only parameter is `base`, runs it at that default and
 at base 100000 + 100 j for the j-th fresh set, and prints, for each test, the
 verdict at the committed seeds and how many fresh sets fail it.  Any exception
-counts as a failure.  It needs the `test` extra and imports polmem from this
-checkout's src/ only.
+counts as a failure.  --only keeps the tests whose module::name contains the
+given text, so a slow check can be measured alone.  It needs the `test` extra
+and imports polmem from this checkout's src/ only.
 """
 
 import argparse
@@ -51,10 +53,14 @@ def passes(test, base):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=300, help="fresh seed sets per test")
+    parser.add_argument("--only", default="", metavar="SUBSTRING",
+                        help="run only the tests whose module::name contains SUBSTRING")
     args = parser.parse_args()
     print(f"| check | committed seeds | fresh sets failing (of {args.seeds}) |")
     print("|---|---|---|")
     for name, test in discover():
+        if args.only not in name:
+            continue
         committed = inspect.signature(test).parameters["base"].default
         verdict = "pass" if passes(test, committed) else "FAIL"
         failures = sum(not passes(test, 100_000 + 100 * j) for j in range(args.seeds))
