@@ -17,17 +17,20 @@ resting on the thinning identity the closed form uses.
 
 import decimal
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, UndefinedRatioError
-from .streams import check_trials, map_chunks, usable_cpus
+from .streams import CHUNK_TRIALS, check_trials, map_chunks, usable_cpus
 
 # every Poisson mean here lies below this, so that exp(-mean) is a normal float
 MEAN_LIMIT = 708.0
 # buckets of the oracle's guide table over [0, 1)
 _GUIDE_BUCKETS = 4096
+# each thread's oracle scratch, made on its first chunk and kept
+_scratch = threading.local()
 
 
 @dataclass(frozen=True)
@@ -189,10 +192,15 @@ class _PoissonInverseCdf:
         # scaling by a power of two is exact: u * B in cdf * B ranks as u in cdf (B buckets)
         self._scaled = self.cdf * _GUIDE_BUCKETS
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        """Counts (int32) for the uniforms u, which are scaled in place."""
+    def __call__(self, u: np.ndarray, idx: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Counts (int32) for the uniforms u, which are scaled in place; idx
+        (intp, the bucket indices) and out (the counts) are optional scratch."""
         u *= _GUIDE_BUCKETS
-        n = self._guide[u.astype(np.intp)]
+        idx = np.empty(u.shape, np.intp) if idx is None else idx
+        np.copyto(idx, u, casting="unsafe")
+        # every index lies in range; mode="clip" keeps take from buffering its out
+        n = np.take(self._guide, idx, out=out, mode="clip")
         searched = np.flatnonzero(n < 0)
         n[searched] = np.searchsorted(self._scaled, u[searched], side="right")
         return n
@@ -210,7 +218,8 @@ def mc_detection_oracle(
     signal click where u * (n + m) < n.  Both means must lie below
     MEAN_LIMIT.  Output is a pure function of (params, trials, seed): it is
     bit-identical for any `workers`, which defaults to the usable CPU count
-    (`streams.usable_cpus`); `workers=1` runs serially.
+    (`streams.usable_cpus`); `workers=1` runs serially.  Each thread that
+    runs a chunk keeps about 6.3 MiB of scratch for the process.
     """
     check_trials(trials)
     sp, q = params.signal_mean, params.q
@@ -225,15 +234,20 @@ def mc_detection_oracle(
     signal, background = _PoissonInverseCdf(sp), _PoissonInverseCdf(q)
 
     def run(rng, size):
-        u = rng.random(size)  # one buffer for all three uniform vectors
-        n = signal(u)
+        if not hasattr(_scratch, "buffers"):
+            _scratch.buffers = [np.empty(CHUNK_TRIALS, t) for t in (float, np.intp, np.int32, np.int32, bool)]
+        # one buffer u for all three uniform vectors
+        u, idx, n, tot, pick = (b[:size] for b in _scratch.buffers)
         rng.random(out=u)
-        tot = background(u)
+        signal(u, idx, n)
+        rng.random(out=u)
+        background(u, idx, tot)
         tot += n
         rng.random(out=u)
         u *= tot
+        np.less(u, n, out=pick)
         n_det = int(np.count_nonzero(tot))
-        n_sig = int(np.count_nonzero(u < n))
+        n_sig = int(np.count_nonzero(pick))
         return n_sig, n_det - n_sig
 
     counts = map_chunks(run, trials, seed, workers)

@@ -4,10 +4,13 @@ Trials are partitioned into fixed-size chunks and every chunk gets its own
 generator derived purely from (seed, chunk index).  The partition does not
 depend on how many workers execute the chunks, and chunk results are always
 combined in index order, so output is bit-identical for any worker count.
-Every Monte Carlo checks its trial count and its Poisson means here.
+Every Monte Carlo checks its trial count here.  The simulators check their
+Poisson means against numpy's limit here too; the oracle draws from its own
+tables and checks its means against `noise_model.MEAN_LIMIT`.
 """
 
 import contextlib
+import functools
 import math
 import os
 
@@ -64,20 +67,32 @@ def chunk_layout(trials: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
+@functools.cache
+def _pool(workers: int):
+    """The thread pool of `workers` threads, made on first use and kept for
+    the process, so that a kernel's per-thread scratch outlives one call."""
+    from concurrent.futures import ThreadPoolExecutor  # here, so an import loads no pool or logging
+
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+# a forked child has none of its parent's threads: it makes its own pools
+os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def map_chunks(fn, trials: int, seed, workers: int = 1) -> list:
     """Run `fn(rng, size)` over every chunk, returning results in chunk order.
 
     `fn` must depend only on its arguments.  With workers > 1 the chunks are
-    executed on a thread pool; the returned list is identical either way.
+    executed on a thread pool of that many threads, which lasts as long as
+    the process and is shared by every caller, so `fn` must not wait on
+    another parallel map_chunks; the returned list is identical either way.
     Serially, each chunk's generator is made when the chunk runs, so one is
     alive at a time.
     """
     sizes = chunk_layout(trials)
     if workers <= 1 or len(sizes) == 1:
         return [fn(chunk_rng(seed, i), size) for i, size in enumerate(sizes)]
-    from concurrent.futures import ThreadPoolExecutor  # here, so an import loads no pool or logging
-
     # made here: made in the workers, they slowed the oracle's ops by ~10% on 2 CPUs
     rngs = [chunk_rng(seed, i) for i in range(len(sizes))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, rngs, sizes))
+    return list(_pool(workers).map(fn, rngs, sizes))

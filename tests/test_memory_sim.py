@@ -248,6 +248,27 @@ def test_serial_chunks_make_their_generator_when_they_run(monkeypatch):
     assert events == [e for i in range(4) for e in (f"rng {i}", "ran")]
 
 
+def test_thread_pool_is_kept_per_worker_count():
+    assert streams._pool(2) is streams._pool(2)
+    assert streams._pool(3) is not streams._pool(2)
+
+
+def test_parallel_chunk_error_is_raised_and_pool_stays_usable(monkeypatch):
+    """A chunk that raises on a pool thread raises from map_chunks, and the
+    kept pool runs the next call's chunks in order."""
+    monkeypatch.setattr(streams, "chunk_rng", lambda seed, index: (seed, index))
+
+    def kernel(label, size):
+        if label == ("fail", 1):
+            raise ValueError("chunk 1")
+        return label[1], size
+
+    with pytest.raises(ValueError, match="chunk 1"):
+        streams.map_chunks(kernel, 3 * CHUNK_TRIALS + 5, "fail", workers=2)
+    got = streams.map_chunks(kernel, 3 * CHUNK_TRIALS + 5, "ok", workers=2)
+    assert got == [(0, CHUNK_TRIALS), (1, CHUNK_TRIALS), (2, CHUNK_TRIALS), (3, 5)]
+
+
 def test_background_split_between_rails_indistinguishable(base=41):
     # one source at q vs. the sum of two independent sources at q/2
     q = 0.02

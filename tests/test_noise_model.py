@@ -15,6 +15,8 @@ Carlo agreement is tested separately.
 import hashlib
 import itertools
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -283,6 +285,19 @@ def test_mc_oracle_agrees_with_model(base=101):
             assert abs(model_v - est_v) <= 4 * sigma
 
 
+def test_mc_oracle_stream_pinned():
+    """Criterion 1's 125 cells at 300,000 trials (one full chunk and one
+    partial) and seeds 1000 + cell hash to one pinned digest, serially and
+    on two threads: a kernel rewrite must not move the oracle's stream."""
+    axes = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 5))
+    cells = [NoiseModelParams(eta=float(e), p=float(p), q=float(q)) for e, p, q in itertools.product(*axes)]
+    assert chunk_layout(300_000) == [1 << 18, 300_000 - (1 << 18)]
+    for workers in (1, 2):
+        est = [mc_detection_oracle(c, 300_000, 1000 + i, workers=workers) for i, c in enumerate(cells)]
+        digest = hashlib.sha256(repr([(e.p_signal, e.p_background) for e in est]).encode()).hexdigest()
+        assert digest == "ece591ec63ba1d38a9b2521cdf783d974bd141d80e9e7ece3ca68fe49504cfb7", workers
+
+
 def test_mc_oracle_deterministic_across_workers():
     est1 = mc_detection_oracle(STANDARD_PARAMS, 600_000, 7, workers=1)
     est4 = mc_detection_oracle(STANDARD_PARAMS, 600_000, 7, workers=4)
@@ -290,6 +305,30 @@ def test_mc_oracle_deterministic_across_workers():
     assert est1 == mc_detection_oracle(STANDARD_PARAMS, 600_000, 7, workers=2)
     # the default runs on every usable CPU and must not change the result
     assert est1 == mc_detection_oracle(STANDARD_PARAMS, 600_000, 7)
+
+
+def test_mc_oracle_concurrent_callers_share_the_pool():
+    """Callers on several threads share the kept pools, and each pool thread
+    its scratch, with more threads than CPUs: every estimate is the serial one."""
+    cells = [(NoiseModelParams(eta=0.6, p=1.0 + k / 4, q=0.4), 20 + k) for k in range(6)]
+    serial = [mc_detection_oracle(c, 3 * (1 << 18) + 7, s, workers=1) for c, s in cells]
+    got = [None] * len(cells)
+
+    def call(k):
+        got[k] = mc_detection_oracle(cells[k][0], 3 * (1 << 18) + 7, cells[k][1], workers=3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(cells))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == serial
 
 
 @pytest.mark.parametrize(
@@ -349,6 +388,10 @@ def test_poisson_guide_lookup_is_exact_search(mean):
     got = sampler(u.copy())
     assert got.dtype == np.int32
     np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
+    # the kernel's form, with caller-made scratch, returns the same counts in out
+    idx, out = np.empty(u.shape, np.intp), np.empty(u.shape, np.int32)
+    assert sampler(u.copy(), idx, out) is out
+    np.testing.assert_array_equal(out, got)
 
 
 def test_poisson_mean_zero_draws_only_zeros():
