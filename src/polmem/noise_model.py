@@ -12,7 +12,9 @@ for Poissonian input pulses.
 The model's Monte Carlo oracle draws n and m literally, each by exact
 inverse-CDF sampling from a Poisson table with a guide table, and makes the
 n/(n+m) pick with a third uniform, so it checks the closed form without
-resting on the thinning identity the closed form uses.
+resting on the thinning identity the closed form uses.  Where one mean is
+zero it reads the other count's draw as a click test, u >= P(N = 0), which
+gives the same estimates bit for bit from one uniform vector per chunk.
 """
 
 import decimal
@@ -206,6 +208,14 @@ class _PoissonInverseCdf:
         return n
 
 
+def _scratch_views(size: int) -> list[np.ndarray]:
+    """This thread's oracle scratch cut to `size`: u float64, idx intp, n and
+    tot int32 and a bool mask, made on the thread's first chunk and kept."""
+    if not hasattr(_scratch, "buffers"):
+        _scratch.buffers = [np.empty(CHUNK_TRIALS, t) for t in (float, np.intp, np.int32, np.int32, bool)]
+    return [b[:size] for b in _scratch.buffers]
+
+
 def mc_detection_oracle(
     params: NoiseModelParams, trials: int, seed: int, workers: int | None = None
 ) -> DetectionProbs:
@@ -213,13 +223,16 @@ def mc_detection_oracle(
 
     Per trial, draws the Poisson pair (n, m) and detects one photon: signal
     with probability n/(n+m), background otherwise; no photons, no
-    detection.  Each chunk draws three uniform vectors in order, for n, for m
-    and for the pick: n and m by inverse CDF (see _PoissonInverseCdf), and a
-    signal click where u * (n + m) < n.  Both means must lie below
-    MEAN_LIMIT.  Output is a pure function of (params, trials, seed): it is
-    bit-identical for any `workers`, which defaults to the usable CPU count
+    detection.  Each chunk's generator gives three uniform vectors in order,
+    for n, for m and for the pick: n and m by inverse CDF (see
+    _PoissonInverseCdf), and a signal click where u * (n + m) < n.  With one
+    mean zero a pulse clicks iff the other count is >= 1, i.e. iff its
+    uniform is >= cdf[0], so a chunk draws only that vector, with the same
+    estimates bit for bit.  Both means must lie below MEAN_LIMIT.  Output is
+    a pure function of (params, trials, seed): it is bit-identical for any
+    `workers`, which defaults to the usable CPU count
     (`streams.usable_cpus`); `workers=1` runs serially.  Each thread that
-    runs a chunk keeps about 6.3 MiB of scratch for the process.
+    runs a chunk keeps 6.25 MiB of scratch for the process.
     """
     check_trials(trials)
     sp, q = params.signal_mean, params.q
@@ -231,24 +244,33 @@ def mc_detection_oracle(
         return DetectionProbs(0.0, 0.0)
     if workers is None:
         workers = usable_cpus()
-    signal, background = _PoissonInverseCdf(sp), _PoissonInverseCdf(q)
+    if sp == 0 or q == 0:
+        cdf0 = math.exp(-(sp or q))  # the nonzero mean's _PoissonInverseCdf cdf[0], bit for bit
 
-    def run(rng, size):
-        if not hasattr(_scratch, "buffers"):
-            _scratch.buffers = [np.empty(CHUNK_TRIALS, t) for t in (float, np.intp, np.int32, np.int32, bool)]
-        # one buffer u for all three uniform vectors
-        u, idx, n, tot, pick = (b[:size] for b in _scratch.buffers)
-        rng.random(out=u)
-        signal(u, idx, n)
-        rng.random(out=u)
-        background(u, idx, tot)
-        tot += n
-        rng.random(out=u)
-        u *= tot
-        np.less(u, n, out=pick)
-        n_det = int(np.count_nonzero(tot))
-        n_sig = int(np.count_nonzero(pick))
-        return n_sig, n_det - n_sig
+        def run(rng, size):
+            u, *_, click = _scratch_views(size)
+            if sp == 0:  # step past the signal vector: one PCG64 step per float64
+                rng.bit_generator.advance(size)
+            rng.random(out=u)
+            clicks = int(np.count_nonzero(np.greater_equal(u, cdf0, out=click)))
+            return (clicks, 0) if q == 0 else (0, clicks)
+    else:
+        signal, background = _PoissonInverseCdf(sp), _PoissonInverseCdf(q)
+
+        def run(rng, size):
+            # one buffer u for all three uniform vectors
+            u, idx, n, tot, pick = _scratch_views(size)
+            rng.random(out=u)
+            signal(u, idx, n)
+            rng.random(out=u)
+            background(u, idx, tot)
+            tot += n
+            rng.random(out=u)
+            u *= tot
+            np.less(u, n, out=pick)
+            n_det = int(np.count_nonzero(tot))
+            n_sig = int(np.count_nonzero(pick))
+            return n_sig, n_det - n_sig
 
     counts = map_chunks(run, trials, seed, workers)
     n_sig = sum(c[0] for c in counts)

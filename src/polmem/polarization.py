@@ -166,8 +166,8 @@ def fit_stokes(sweep: SweepSeries) -> tuple[StokesVector, FitResult]:
     cov = _COEF_TO_STOKES @ (sigma2 * np.linalg.inv(X.T @ X)) @ _COEF_TO_STOKES.T
 
     s0, r = raw[0], raw[1:]
-    # delta method for r / s0; float_power squares by libm pow, as a float64 scalar's ** 2
-    ratio_var = (np.diag(cov)[1:] / s0**2 + np.float_power(r, 2) * cov[0, 0] / s0**4
+    # delta method for r / s0
+    ratio_var = (np.diag(cov)[1:] / s0**2 + r * r * cov[0, 0] / s0**4
                  - 2 * r * cov[0, 1:] / s0**3)
     params = dict(zip(("s0", "s1", "s2", "s3"), [s0, *(r / s0)]))
     stderr = {k: math.sqrt(max(v, 0.0)) for k, v in zip(params, [cov[0, 0], *ratio_var])}

@@ -34,7 +34,7 @@ from polmem.noise_model import (
     fidelity_sbr_curve,
     mc_detection_oracle,
 )
-from polmem.streams import chunk_layout
+from polmem.streams import CHUNK_TRIALS, chunk_layout, chunk_rng
 
 STANDARD_PARAMS = NoiseModelParams(eta=0.055, p=1.6, q=0.005)
 
@@ -296,6 +296,38 @@ def test_mc_oracle_stream_pinned():
         est = [mc_detection_oracle(c, 300_000, 1000 + i, workers=workers) for i, c in enumerate(cells)]
         digest = hashlib.sha256(repr([(e.p_signal, e.p_background) for e in est]).encode()).hexdigest()
         assert digest == "ece591ec63ba1d38a9b2521cdf783d974bd141d80e9e7ece3ca68fe49504cfb7", workers
+
+
+def literal_oracle(params, trials, seed):
+    """The oracle's draws taken literally, chunk by chunk: three uniform
+    vectors from the chunk's generator, for n, for m and for the pick, n and
+    m searched in their tables' cdfs, and a signal click where u (n + m) < n."""
+    cdfs = [_PoissonInverseCdf(mean).cdf for mean in (params.signal_mean, params.q)]
+    n_sig = n_det = 0
+    for i, size in enumerate(chunk_layout(trials)):
+        rng = chunk_rng(seed, i)
+        n, m = (np.searchsorted(cdf, rng.random(size), side="right") for cdf in cdfs)
+        n_sig += int(np.count_nonzero(rng.random(size) * (n + m) < n))
+        n_det += int(np.count_nonzero(n + m))
+    return DetectionProbs(n_sig / trials, (n_det - n_sig) / trials)
+
+
+@pytest.mark.parametrize("eta, p, q", [
+    (0.0, 1.0, 0.5),  # eta p = 0: the signal vector is stepped over
+    (0.6, 1.5, 0.0),  # q = 0: only the signal vector is drawn
+    (0.5, 2.0, 1.0),  # both means > 0
+    (1.0, 1e-300, 0.0), (0.0, 1.0, 1e-300), (1.0, 1e-300, 1e-300),  # exp(-mean) rounds to 1
+    (1.0, 700.0, 0.0), (0.0, 1.0, 700.0), (1.0, 700.0, 0.5),  # just below MEAN_LIMIT
+    (1e-200, 1e-200, 0.7),  # eta p underflows to 0
+])
+def test_mc_oracle_equals_literal_draws(eta, p, q):
+    params = NoiseModelParams(eta=eta, p=p, q=q)
+    for k, trials in enumerate((1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS + 3)):
+        want = literal_oracle(params, trials, 50 + k)
+        for workers in (1, 2):
+            assert mc_detection_oracle(params, trials, 50 + k, workers=workers) == want, (trials, workers)
+        if max(params.signal_mean, q) == 1e-300:
+            assert want == DetectionProbs(0.0, 0.0)  # no pulse clicks
 
 
 def test_mc_oracle_deterministic_across_workers():
