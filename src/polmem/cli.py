@@ -16,7 +16,6 @@ failure.
 """
 
 import argparse
-import contextlib
 import datetime
 import json
 import math
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .data import ArrivalHistogram, SweepSeries, Window, write_text
-from .errors import ConfigError, DataError, FitError
+from .errors import ConfigError, DataError, FitError, named
 from .memory_sim import (
     MemoryConfig,
     simulate_background_sweep,
@@ -48,7 +47,6 @@ from .histogram_analysis import (
     build_report,
     fit_exponential_decay,
     fit_sqrt_background,
-    sbr,
 )
 
 SIM_KINDS = ("histogram", "reference", "polarimetry", "decay", "background")
@@ -61,15 +59,6 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
         return value
     return integer
-
-
-@contextlib.contextmanager
-def _naming(what: str):
-    """Re-raise a DataError or FitError with `what`, the input and its file, in front."""
-    try:
-        yield
-    except (DataError, FitError) as exc:
-        raise type(exc)(f"{what}: {exc}") from exc
 
 
 def _json_text(obj) -> str:
@@ -168,18 +157,14 @@ def cmd_analyze(args) -> int:
     bg = Window(config.bg_window_start, config.bg_window_end)
     storage_paths = _parse_state_paths(args.storage, "--storage")
     stokes_paths = _parse_state_paths(args.stokes, "--stokes")
-    storage = {}
-    for name, path in storage_paths.items():
-        storage[name] = hist = ArrivalHistogram.load(path)
-        with _naming(f"storage histogram for {name} ({path})"):
-            sbr(hist, roi, bg)  # build_report's per-histogram checks, made where the file is known
+    storage = {name: ArrivalHistogram.load(path) for name, path in storage_paths.items()}
     reference = ArrivalHistogram.load(args.reference)
-    if reference.total() == 0:  # storage_efficiency's check, made here where the file is known
+    if reference.total() == 0:  # storage_efficiency's check; build_report has no name for this file
         raise DataError(f"reference histogram ({args.reference}) is empty")
     measured = {}
     for name, path in stokes_paths.items():
         sweep = read_polarimetry_csv(path)
-        with _naming(f"polarimetry sweep for {name} ({path})"):
+        with named(f"polarimetry sweep for {name} ({path})"):
             measured[name], _ = fit_stokes(sweep)
     sources = {s: f"storage {storage_paths[s]}, sweep {stokes_paths[s]}" for s in STATE_NAMES}
     report = build_report(storage, reference, roi, bg, measured, config.p_in, sources)
@@ -208,20 +193,20 @@ def cmd_model_curve(args) -> int:
 def cmd_fit(args) -> int:
     if not args.series:
         raise ConfigError(f"--kind {args.kind} requires --series")
-    # the readers name their file; _naming names it for the fit's own errors
+    # the readers name their file; `named` puts it in front of the fit's own errors
     if args.kind == "decay":
         series = SweepSeries.load_csv(args.series)
-        with _naming(f"decay series ({args.series})"):
+        with named(f"decay series ({args.series})"):
             result = fit_exponential_decay(series)
     elif args.kind == "background":
         if not args.technical:
             raise ConfigError("--kind background requires --technical")
         bg, tech = SweepSeries.load_csv(args.series), SweepSeries.load_csv(args.technical)
-        with _naming(f"background sweep ({args.series}) with technical sweep ({args.technical})"):
+        with named(f"background sweep ({args.series}) with technical sweep ({args.technical})"):
             result = fit_sqrt_background(bg, tech)
     else:
         sweep = read_polarimetry_csv(args.series)
-        with _naming(f"polarimetry sweep ({args.series})"):
+        with named(f"polarimetry sweep ({args.series})"):
             _, result = fit_stokes(sweep)
     if args.format == "csv":
         lines = ["param,value,stderr"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, named
 
 
 def is_finite_number(v) -> bool:
@@ -93,8 +93,11 @@ class ArrivalHistogram:
         n = self.n_trials
         if not (isinstance(n, numbers.Integral) and is_finite_number(n) and n >= 1):
             raise DataError(f"n_trials must be an integer >= 1, got {n!r}")
-        counts = np.asarray(self.counts)
-        if counts.ndim != 1:
+        try:
+            counts = np.asarray(self.counts)
+        except ValueError:  # nested lists of unequal lengths, or nested too deep
+            counts = None
+        if counts is None or counts.ndim != 1:
             raise DataError("counts must be one-dimensional")
         if counts.size and (counts.dtype == bool or not np.can_cast(counts.dtype, np.int64)):
             raise DataError(f"counts must be 64-bit integers, got {counts.dtype} values")
@@ -104,6 +107,8 @@ class ArrivalHistogram:
         # nonnegative int64 partial sums wrap negative at the first overflow
         if (self.counts.cumsum() < 0).any():
             raise DataError("counts must total at most 2**63 - 1 (64-bit integers)")
+        if not isinstance(self.label, str):
+            raise DataError(f"label must be text, got {type(self.label).__name__}")
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -127,7 +132,7 @@ class ArrivalHistogram:
             bin_width=data["bin_width_us"],
             counts=data["counts"],
             n_trials=data["n_trials"],
-            label=str(data["label"]),
+            label=data["label"],
         )
 
     def save(self, path) -> None:
@@ -136,10 +141,8 @@ class ArrivalHistogram:
     @classmethod
     def load(cls, path) -> "ArrivalHistogram":
         data = read_json(path)
-        try:
+        with named(path):
             return cls.from_json(data)
-        except (DataError, ValueError) as exc:  # ValueError: ragged counts
-            raise DataError(f"{path}: {exc}") from exc
 
 
 @dataclass

@@ -11,7 +11,6 @@ on noisy data; values are reported as-is (with a warning) to keep the
 estimators unbiased.
 """
 
-import contextlib
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -19,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .data import ArrivalHistogram, FitResult, SweepSeries, Window
-from .errors import ConfigError, DataError, FitError, UndefinedRatioError
+from .errors import ConfigError, DataError, FitError, UndefinedRatioError, named
 from .noise_model import MEAN_LIMIT, classical_fidelity_limit
 from .polarization import (
     CANONICAL_STATES,
@@ -271,16 +270,6 @@ class StorageReport:
         return "\n".join(lines)
 
 
-@contextlib.contextmanager
-def _warnings_named(where: str):
-    """Re-issue every warning raised inside with `where` in front."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        yield
-    for w in caught:
-        warnings.warn(f"{where}: {w.message}", w.category)
-
-
 def build_report(
     storage: dict,
     reference: ArrivalHistogram,
@@ -301,10 +290,11 @@ def build_report(
     the eta-aware classical limit (see StorageReport.classical).
 
     An efficiency outside [0, 1] or a fidelity above 1 is kept unclamped and
-    warned of once, naming its state and, when sources maps the state to a
-    description of its input files, those files.  An average efficiency <= 0
-    leaves only the eta-free limit, and mu outside (0, MEAN_LIMIT) leaves
-    neither, each with a warning.
+    warned of once.  Such a warning, and an error in a state's efficiency or
+    SBR, names its state and, when sources maps the state to a description
+    of its input files, those files.  An average efficiency <= 0 leaves only
+    the eta-free limit, and mu outside (0, MEAN_LIMIT) leaves neither, each
+    with a warning.
     """
     for name, mapping in (("storage histogram", storage), ("measured Stokes", measured_stokes)):
         missing = [s for s in STATE_NAMES if s not in mapping]
@@ -321,12 +311,11 @@ def build_report(
 
     states = {}
     for name, f in zip(STATE_NAMES, fids):
-        where = f"state {name}" + (f" ({sources[name]})" if sources else "")
-        with _warnings_named(where):
+        with named(f"state {name}" + (f" ({sources[name]})" if sources else "")):
             efficiency = storage_efficiency(storage[name], reference, roi, bg)
             if f > 1:
                 warnings.warn(f"fidelity estimate {f} is above 1")
-        states[name] = StateResult(sbr=sbr(storage[name], roi, bg), fidelity=f, efficiency=efficiency)
+            states[name] = StateResult(sbr(storage[name], roi, bg), f, efficiency)
 
     report = StorageReport(states, mu)
     limits = report.classical

@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from .data import ArrivalHistogram, SweepSeries, Window, is_finite_number, read_json, write_text
-from .errors import ConfigError
+from .errors import ConfigError, named
 from .histogram_analysis import roi_counts, storage_efficiency
 from .polarization import (
     MIN_PLATE_ANGLES,
@@ -148,10 +148,8 @@ class MemoryConfig:
     @classmethod
     def load(cls, path) -> "MemoryConfig":
         data = read_json(path, ConfigError)  # its errors name the file already
-        try:
+        with named(path):
             return cls.from_json(data)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _increasing(what: str, values) -> np.ndarray:

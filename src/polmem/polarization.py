@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FitResult, SweepSeries
-from .errors import DataError, DegenerateGeometryError, FitError, IllConditionedFitError
+from .errors import DataError, DegenerateGeometryError, FitError, IllConditionedFitError, named
 
 DOP_TOL = 1e-9
 MIN_PLATE_ANGLES = 8  # a sweep's fewest plate angles, for fit_stokes and the simulator
@@ -259,12 +259,10 @@ def write_polarimetry_csv(path, sweep: SweepSeries) -> None:
 def read_polarimetry_csv(path) -> SweepSeries:
     """Read a sweep written by write_polarimetry_csv, with angles in radians."""
     sweep = SweepSeries.load_csv(path)
-    try:
+    with named(path):
         if (sweep.x_name, sweep.y_name) != ("qwp_angle_deg", "intensity"):
             raise DataError(f"expected header qwp_angle_deg,intensity,y_err, "
                             f"got {sweep.x_name},{sweep.y_name},y_err")
         _check_intensities(sweep.y)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
     angles = np.radians(sweep.x)
     return SweepSeries(angles, sweep.y, sweep.y_err, "qwp_angle_rad", "counts_per_pulse")

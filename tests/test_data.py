@@ -6,7 +6,8 @@ with a traceback.  The same holds for any config values and plate angles
 given to `simulate`, whose output then holds no NaN or infinity.  The
 package's import graph has no cycle, importing it loads no scipy (nor
 numpy's random module or a thread pool, which only a simulation needs), only
-streams.py touches numpy's random module, and only data.py touches files.
+streams.py touches numpy's random module, only data.py touches files, and only
+`errors.named` puts a name in front of an error or a warning.
 """
 
 import ast
@@ -19,6 +20,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polmem as pm
+from polmem import errors
 from polmem.cli import main
 from polmem.polarization import write_polarimetry_csv
 
@@ -100,6 +103,8 @@ HISTOGRAM_CASES = {  # which file of a valid analyze set, and how it is edited
     "n_trials-beyond-float": ("storage_h", _replace("n_trials", lambda n: 10**400)),
     "not-utf8": ("storage_h", lambda d: b'{"label": "\xff"}'),
     "total-beyond-64-bits": ("reference", _replace("counts", lambda c: [2**62, 2**62] + c[2:])),
+    "counts-ragged": ("storage_h", _replace("counts", lambda c: [c[:2], c[:1]])),
+    "label-not-text": ("storage_h", _replace("label", lambda label: None)),
 }
 
 
@@ -127,13 +132,74 @@ def test_analyze_error_names_state_and_file(inputs, tmp_path, capsys, case):
     if role == "stokes_h":
         lines = (inputs / "sw_H.csv").read_text().splitlines(keepends=True)
         bad = _write(tmp_path / "bad.csv", "".join(edit(lines)))
-        what = "polarimetry sweep for H"
+        expected = "polarimetry sweep for H ({bad})"
     else:
-        source, what = {"storage_h": ("st_H.json", "storage histogram for H"),
-                        "reference": ("ref.json", "reference histogram")}[role]
+        source, expected = {"storage_h": ("st_H.json", "state H (storage {bad}, sweep "),
+                            "reference": ("ref.json", "reference histogram ({bad})")}[role]
         bad = _write(tmp_path / "bad.json", edit(json.loads((inputs / source).read_text())))
     assert _analyze(inputs, **{role: bad}) == 2
-    assert f"{what} ({bad})" in capsys.readouterr().err
+    assert expected.format(bad=bad) in capsys.readouterr().err
+
+
+# ------------------------------------------- one way to name an input
+
+
+def test_named_reissues_a_warning_made_before_the_error():
+    with pytest.warns(UserWarning) as caught, pytest.raises(pm.DataError) as info:
+        with errors.named("h.json"):
+            warnings.warn("efficiency estimate 1.5 is above 1")
+            raise pm.DataError("window start 6.0 lies outside the histogram span")
+    assert str(info.value) == "h.json: window start 6.0 lies outside the histogram span"
+    assert [str(w.message) for w in caught] == ["h.json: efficiency estimate 1.5 is above 1"]
+    assert caught[0].filename == __file__  # the `with` statement, not errors.py
+
+
+def test_named_keeps_the_error_subclass():
+    with pytest.raises(pm.UndefinedRatioError) as info:
+        with errors.named("state H"):
+            raise pm.UndefinedRatioError("background window holds zero counts; SBR undefined")
+    assert type(info.value) is pm.UndefinedRatioError
+    assert str(info.value) == "state H: background window holds zero counts; SBR undefined"
+    assert isinstance(info.value.__cause__, pm.UndefinedRatioError)
+
+
+def test_named_passes_other_exceptions_through():
+    original = ValueError("not a polmem error")
+    with pytest.raises(ValueError) as info:
+        with errors.named("h.json"):
+            raise original
+    assert info.value is original
+
+
+def _catches_polmem_error(handler: ast.ExceptHandler) -> bool:
+    """An except clause that can catch a PolmemError: bare, or naming one of
+    its classes or their bases."""
+    catching = {name for name, c in vars(errors).items()
+                if isinstance(c, type) and issubclass(c, errors.PolmemError)}
+    catching |= {c.__name__ for c in errors.PolmemError.__mro__}
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(t is None or getattr(t, "id", getattr(t, "attr", None)) in catching
+               for t in types)
+
+
+def test_only_errors_names_inputs():
+    """`errors.named` is the one code that puts a name in front of a polmem
+    error or a warning: no other module raises anew from an except clause
+    that can catch a polmem error, or records warnings to re-issue them.  A
+    bare `raise`, which re-raises unchanged, and a handler that prints and
+    returns, as cli.main's do, pass."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and _catches_polmem_error(node):
+                hit = any(isinstance(n, ast.Raise) and n.exc is not None for n in ast.walk(node))
+            else:
+                hit = isinstance(node, ast.Attribute) and node.attr == "catch_warnings"
+            if hit:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_histogram_total_must_fit_64_bits():

@@ -406,6 +406,19 @@ def test_report_ideal_memory_efficiency_above_1_reported_with_warning():
     assert limits["f_classical_eta"] == limits["f_classical"]
 
 
+def test_report_names_the_state_in_its_errors_after_its_warnings():
+    # state H's efficiency 20000/10000 warns, then its empty background window
+    # leaves SBR undefined: the error and the warning made before it both name H
+    storage = {n: make_hist(268, 100, 1000) for n in STATE_NAMES} | {"H": make_hist(20_000, 0)}
+    reference = ArrivalHistogram(0.0, 0.05, np.array([10_000] + [0] * 159), 1000)
+    sources = {n: f"storage {n}.json" for n in STATE_NAMES}
+    with pytest.warns(UserWarning) as caught, pytest.raises(UndefinedRatioError) as info:
+        build_report(storage, reference, ROI, BG, ideal_stokes(), MU, sources)
+    where = "state H (storage H.json): "
+    assert str(info.value) == where + "background window holds zero counts; SBR undefined"
+    assert [str(w.message) for w in caught] == [where + "efficiency estimate 2.0 is above 1"]
+
+
 def test_report_negative_efficiency_reported_with_warning():
     storage = {n: make_hist(100, 120, n_trials=1000) for n in STATE_NAMES}
     reference = ArrivalHistogram(0.0, 0.05, np.array([10_000] + [0] * 159), 1000)

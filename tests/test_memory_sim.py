@@ -634,6 +634,10 @@ def test_histogram_schema_enforced():
         ArrivalHistogram(0.0, 0.05, [-1, 2], 10)
     with pytest.raises(DataError):
         ArrivalHistogram(0.0, 0.05, [1, 2], 0)
+    with pytest.raises(DataError, match="counts must be one-dimensional"):
+        ArrivalHistogram(0.0, 0.05, [[1], [1, 2]], 10)
+    with pytest.raises(DataError, match="label must be text"):
+        ArrivalHistogram.from_json({**good, "label": None})
 
 
 def test_sweep_csv_round_trip(tmp_path):
