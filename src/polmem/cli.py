@@ -144,6 +144,8 @@ def _parse_state_paths(pairs: list, flag: str) -> dict:
         name, sep, path = item.partition("=")
         if not sep or name not in STATE_NAMES:
             raise ConfigError(f"{flag} expects NAME=PATH with NAME in {STATE_NAMES}, got {item!r}")
+        if name in mapping:
+            raise ConfigError(f"{flag} names state {name} twice")
         mapping[name] = path
     missing = [s for s in STATE_NAMES if s not in mapping]
     if missing:

@@ -176,7 +176,7 @@ class SweepSeries:
     @classmethod
     def load_csv(cls, path) -> "SweepSeries":
         """Read a sweep CSV: a header `<x_name>,<y_name>,y_err`, then rows of
-        three finite numbers."""
+        three finite numbers, the last (y_err) >= 0."""
         try:
             with open(path, newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
@@ -191,6 +191,8 @@ class SweepSeries:
                         raise DataError(f"{where}: {len(row)} fields, the header has 3")
                     rows.append([_finite(v, f"{where}, field {name!r}")
                                  for name, v in zip(header, row)])
+                    if rows[-1][2] < 0:
+                        raise DataError(f"{where}, field 'y_err': {row[2]!r} is negative")
         except (OSError, ValueError, csv.Error) as exc:  # ValueError: bad UTF-8
             raise DataError(f"cannot read {path}: {exc}") from exc
         x, y, y_err = np.array(rows, dtype=float).reshape(len(rows), 3).T

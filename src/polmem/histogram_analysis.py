@@ -207,47 +207,14 @@ class StateResult:
 
 @dataclass(frozen=True)
 class StorageReport:
-    """Per-state SBR / fidelity / efficiency; the average and standard error
-    of each follow from the states, and so do the classical limits at the
-    mean input photon number mu per pulse."""
+    """Per-state SBR / fidelity / efficiency, their average and standard
+    error, and the classical limits at the mean input photon number mu per
+    pulse, as build_report works them out."""
 
     states: dict
-    mu: float
-
-    def _columns(self) -> dict:
-        return {f.name: np.array([getattr(r, f.name) for r in self.states.values()])
-                for f in fields(StateResult)}
-
-    @property
-    def average(self) -> dict:
-        return {k: float(v.mean()) for k, v in self._columns().items()}
-
-    @property
-    def sem(self) -> dict:
-        return {k: float(v.std(ddof=1) / math.sqrt(len(v))) for k, v in self._columns().items()}
-
-    @property
-    def classical(self) -> dict:
-        """The classical limits at mu, without eta and with the average
-        efficiency as eta, and the average fidelity minus each: plain
-        differences, with no error.  At eta >= 1 the two limits are equal; at
-        eta <= 0 the eta-aware limit is undefined, so it and its difference
-        are None.  Outside classical_fidelity_limit's domain 0 < mu <
-        MEAN_LIMIT, both limits and both differences are None."""
-        average = self.average
-        fid, eta = average["fidelity"], average["efficiency"]
-        f_cl = f_eta = None
-        if 0 < self.mu < MEAN_LIMIT:
-            f_cl = classical_fidelity_limit(self.mu, 1.0)
-            f_eta = classical_fidelity_limit(self.mu, eta) if eta > 0 else None
-        return {
-            "mu": self.mu,
-            "eta": eta,
-            "f_classical": f_cl,
-            "f_classical_eta": f_eta,
-            "f_avg_minus_f_classical": None if f_cl is None else fid - f_cl,
-            "f_avg_minus_f_classical_eta": None if f_eta is None else fid - f_eta,
-        }
+    average: dict
+    sem: dict
+    classical: dict
 
     def to_json(self) -> dict:
         states = {name: asdict(r) for name, r in self.states.items()}
@@ -285,16 +252,21 @@ def build_report(
     maps state name to the polarimetry-fitted Stokes vector of the retrieved
     light.  Fidelities follow the alignment procedure: fit the best rotation
     from ideal inputs to the measured directions, rotate the inputs, then
-    compare each measured state against its rotated input.  mu is the mean
-    input photon number per pulse, and the average efficiency is the eta of
-    the eta-aware classical limit (see StorageReport.classical).
+    compare each measured state against its rotated input.  The average and
+    standard error of each column follow from the states.
 
     An efficiency outside [0, 1] or a fidelity above 1 is kept unclamped and
     warned of once.  Such a warning, and an error in a state's efficiency or
     SBR, names its state and, when sources maps the state to a description
-    of its input files, those files.  An average efficiency <= 0 leaves only
-    the eta-free limit, and mu outside (0, MEAN_LIMIT) leaves neither, each
-    with a warning.
+    of its input files, those files.
+
+    mu is the mean input photon number per pulse.  The classical limits are
+    taken at mu, without eta and with the average efficiency as eta, and the
+    average fidelity minus each is reported: plain differences, with no
+    error.  At eta >= 1 the two limits are equal; at eta <= 0 the eta-aware
+    limit is undefined, so it and its difference are None, with a warning.
+    Outside classical_fidelity_limit's domain 0 < mu < MEAN_LIMIT, both
+    limits and both differences are None, with a warning.
     """
     for name, mapping in (("storage histogram", storage), ("measured Stokes", measured_stokes)):
         missing = [s for s in STATE_NAMES if s not in mapping]
@@ -317,12 +289,29 @@ def build_report(
                 warnings.warn(f"fidelity estimate {f} is above 1")
             states[name] = StateResult(sbr(storage[name], roi, bg), f, efficiency)
 
-    report = StorageReport(states, mu)
-    limits = report.classical
-    if limits["f_classical"] is None:
+    columns = {f.name: np.array([getattr(r, f.name) for r in states.values()])
+               for f in fields(StateResult)}
+    average = {k: float(v.mean()) for k, v in columns.items()}
+    sem = {k: float(v.std(ddof=1) / math.sqrt(len(v))) for k, v in columns.items()}
+
+    fid, eta = average["fidelity"], average["efficiency"]
+    f_cl = f_eta = None
+    if not 0 < mu < MEAN_LIMIT:
         warnings.warn(f"mu = {mu} lies outside (0, {MEAN_LIMIT:g}), where the classical limits "
                       "are computed: no classical limit is reported")
-    elif limits["f_classical_eta"] is None:
-        warnings.warn(f"average efficiency {limits['eta']} <= 0: "
-                      "only the eta-free classical limit is reported")
-    return report
+    else:
+        f_cl = classical_fidelity_limit(mu, 1.0)
+        if eta > 0:
+            f_eta = classical_fidelity_limit(mu, eta)
+        else:
+            warnings.warn(f"average efficiency {eta} <= 0: "
+                          "only the eta-free classical limit is reported")
+    classical = {
+        "mu": mu,
+        "eta": eta,
+        "f_classical": f_cl,
+        "f_classical_eta": f_eta,
+        "f_avg_minus_f_classical": None if f_cl is None else fid - f_cl,
+        "f_avg_minus_f_classical_eta": None if f_eta is None else fid - f_eta,
+    }
+    return StorageReport(states, average, sem, classical)

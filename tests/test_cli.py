@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import polmem as pm
-from polmem import noise_model
+from polmem import histogram_analysis, noise_model
 from polmem.cli import build_parser, main
 from polmem.memory_sim import DECAY_SCAN_STATE, SweepSeries
 from polmem.polarization import read_polarimetry_csv, write_polarimetry_csv
@@ -210,7 +210,19 @@ def test_analyze_reports_classical_limits(tmp_path, cfg_path):
 
 
 
-def test_analyze_reports_no_classical_limit_above_its_domain(tmp_path):
+def test_analyze_takes_each_classical_limit_once(tmp_path, cfg_path, monkeypatch):
+    # the report is worked out once: one eta-free limit and one eta-aware limit
+    calls = []
+    limit = histogram_analysis.classical_fidelity_limit
+    monkeypatch.setattr(histogram_analysis, "classical_fidelity_limit",
+                        lambda *a: calls.append(a) or limit(*a))
+    args = _write_analyze_inputs(tmp_path, pm.MemoryConfig())
+    assert run("analyze", "--config", cfg_path, "--reference", tmp_path / "ref.json",
+               *args, "--out", tmp_path / "report.json") == 0
+    assert len(calls) == 2
+
+
+def test_analyze_reports_no_classical_limit_above_its_domain(tmp_path, capsys):
     # simulate accepts p_in = 800, but e^-800 is no normal float, so the
     # classical limits are not computed: null, with a warning naming mu
     cfg = tmp_path / "bright.json"
@@ -225,6 +237,7 @@ def test_analyze_reports_no_classical_limit_above_its_domain(tmp_path):
     for key in ("f_classical", "f_classical_eta", "f_avg_minus_f_classical",
                 "f_avg_minus_f_classical_eta"):
         assert limits[key] is None
+    assert "classical limit, mu = 800: none outside 0 < mu < 708" in capsys.readouterr().out
 
 def test_analyze_warnings_name_state_and_files(tmp_path):
     # an ideal memory: signal and reference are both chain * p_in, so noise
@@ -268,6 +281,25 @@ def test_analyze_missing_state_exit_2(tmp_path, cfg_path):
     for pair in ("H", "Q=a.json"):
         assert run("analyze", "--config", cfg_path, "--reference", tmp_path / "ref.json",
                    *pruned, "--storage", pair, "--out", tmp_path / "r.json") == 2
+
+
+SIX_PAIRS = [f"{s}={s}.file" for s in pm.STATE_NAMES]
+
+
+@pytest.mark.parametrize("flag,pairs,message", [
+    ("--storage", SIX_PAIRS[1:] + ["H"], "expects NAME=PATH"),
+    ("--storage", SIX_PAIRS + ["Q=Q.file"], "expects NAME=PATH"),
+    ("--stokes", SIX_PAIRS[1:], "missing for states ['H']"),
+    ("--stokes", SIX_PAIRS + ["H=V.file"], "names state H twice"),
+], ids=["no-equals", "unknown-state", "missing-state", "repeated-state"])
+def test_analyze_bad_state_pairs_exit_2(tmp_path, cfg_path, capsys, flag, pairs, message):
+    # the pairs are refused before any file is read, so the paths need not exist
+    argv = [a for f in ("--storage", "--stokes")
+            for pair in (pairs if f == flag else SIX_PAIRS) for a in (f, pair)]
+    assert run("analyze", "--config", cfg_path, "--reference", tmp_path / "ref.json",
+               *argv, "--out", tmp_path / "r.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and message in err
 
 
 def test_analyze_schema_violation_exit_2(tmp_path, cfg_path):

@@ -254,6 +254,7 @@ SWEEP_CASES = {  # body, line and field the message must name
     "nan-field": ("t,y,y_err\n0.0,0.05,0.001\n5.0,nan,0.001\n", 3, "y"),
     "not-a-number": ("t,y,y_err\n0.0,0.05,0.001\n5.0,0.04,1e-3x\n", 3, "y_err"),
     "not-utf8": (b"t,y,y_err\n0.0,0.05,\xff\n", None, None),
+    "negative-y_err": ("t,y,y_err\n0.0,0.05,0.001\n5.0,0.04,-0.00061\n", 3, "y_err"),
 }
 
 
@@ -271,6 +272,8 @@ POLARIMETRY_CASES = {  # body, line and field the message must name
                            None, None),
     "legacy-two-column": ("qwp_angle_deg,intensity\n0.0,1.0\n22.5,1.0\n", None, None),
     "other-names": ("angle,counts,y_err\n0.0,1.0,0.1\n", None, None),
+    "negative-y_err": ("qwp_angle_deg,intensity,y_err\n0.0,1.0,0.1\n22.5,1.0,-0.1\n", 3,
+                       "y_err"),
 }
 
 
