@@ -6,7 +6,7 @@ uniformly from the retrieval window to the end of the record.  Only aggregate
 histograms are returned.  A Poisson number of photons with i.i.d. arrival
 times, binned, gives independent Poisson counts per bin whose means are the
 photon mean times each bin's probability; sums over pulses stay Poisson.  So
-every chunk draws one Poisson count per bin, of mean pulses * sum over the
+a histogram is one Poisson draw per bin, of mean pulses * sum over the
 sources of mean * P(bin), and no arrival time is ever drawn.
 
 All entry points are deterministic functions of their seed, independent of
@@ -29,7 +29,7 @@ from .polarization import (
     qwp_polarimeter_intensity,
     stokes_from_qubit,
 )
-from .streams import check_poisson_mean, check_trials, map_chunks, point_rng
+from .streams import check_poisson_mean, check_trials, chunk_rng, point_rng
 
 RETRIEVAL_TIME_CONSTANT_US = 0.3
 RETRIEVAL_SHAPES = ("exponential", "flat")
@@ -201,20 +201,21 @@ def _polarimeter_means(config, state, analyzer, signal_scale=1.0) -> tuple[float
     return sig_mean * max(0.0, transmission), 0.5 * config.background_mean()
 
 
-def _simulate_arrivals(config, sources, trials, seed, workers, label) -> ArrivalHistogram:
+def _simulate_arrivals(config, sources, trials, seed, label) -> ArrivalHistogram:
     """Histogram of `trials` pulses from independent Poisson sources.
 
-    Each source is (what, mean per pulse, probability of each bin).  Every
-    chunk draws one Poisson count per bin, of mean chunk size * sum over the
-    sources of mean * mass.  The Poisson limit is checked for the whole run,
-    source by source and summed, so neither a bin nor the total can wrap.
+    Each source is (what, mean per pulse, probability of each bin).  One
+    generator, chunk_rng(seed, 0), draws one Poisson count per bin, of mean
+    trials * sum over the sources of mean * mass, so the cost does not grow
+    with trials.  The Poisson limit is checked for the whole run, source by
+    source and summed, so neither a bin nor the total can wrap.
     """
+    check_trials(trials)
     for what, mean, _ in sources:
         check_poisson_mean(what, mean, trials)
     check_poisson_mean("total mean", sum(mean for _, mean, _ in sources), trials)
     lam = sum(mean * mass for _, mean, mass in sources)
-    # sum() adds chunk by chunk; np.sum would first stack every chunk's counts
-    counts = sum(map_chunks(lambda rng, size: rng.poisson(size * lam), trials, seed, workers))
+    counts = chunk_rng(seed, 0).poisson(trials * lam)
     return ArrivalHistogram(0.0, config.bin_width, counts, trials, label)
 
 
@@ -245,7 +246,10 @@ def simulate_histogram(
 ) -> ArrivalHistogram:
     """Photon-arrival histogram of a storage experiment, seen through the
     polarimeter at plate angle `analyzer` (rad; None for none).  signal_scale
-    multiplies the retrieved-signal mean (used for storage-time scans)."""
+    multiplies the retrieved-signal mean (used for storage-time scans).
+
+    The histogram is one draw, the same for any `workers`; the keyword has
+    no effect and is kept so that callers passing it keep working."""
     sig_mean, bg_roi_mean = _polarimeter_means(config, state, analyzer, signal_scale)
     tc = RETRIEVAL_TIME_CONSTANT_US if config.retrieval_shape == "exponential" else None
     # background is uniform over the control-on span [roi_start, t_max]
@@ -256,7 +260,7 @@ def simulate_histogram(
         ("background mean (bg_rate + tech_rate)", bg_total_mean,
          _bin_mass(config, config.roi_start, config.t_max)),
     ]
-    return _simulate_arrivals(config, sources, trials, seed, workers, label)
+    return _simulate_arrivals(config, sources, trials, seed, label)
 
 
 def simulate_reference(config: MemoryConfig, trials: int, seed) -> ArrivalHistogram:
@@ -264,7 +268,7 @@ def simulate_reference(config: MemoryConfig, trials: int, seed) -> ArrivalHistog
     with no storage and no background."""
     source = ("input mean (chain * p_in)", config.chain * config.p_in,
               _bin_mass(config, 0.0, min(INPUT_PULSE_US, config.t_max)))
-    return _simulate_arrivals(config, [source], trials, seed, 1, "reference")
+    return _simulate_arrivals(config, [source], trials, seed, "reference")
 
 
 def simulate_polarimetry_sweep(

@@ -1,12 +1,14 @@
 """Deterministic, parallel-safe random streams.
 
-Trials are partitioned into fixed-size chunks and every chunk gets its own
-generator derived purely from (seed, chunk index).  The partition does not
-depend on how many workers execute the chunks, and chunk results are always
-combined in index order, so output is bit-identical for any worker count.
-Every Monte Carlo checks its trial count here.  The simulators check their
-Poisson means against numpy's limit here too; the oracle draws from its own
-tables and checks its means against `noise_model.MEAN_LIMIT`.
+The chunking serves the Monte Carlo oracle: its trials are partitioned into
+fixed-size chunks and every chunk gets its own generator derived purely from
+(seed, chunk index).  The partition does not depend on how many workers
+execute the chunks, and chunk results are always combined in index order, so
+output is bit-identical for any worker count.  A histogram needs no chunks:
+it is one draw from the generator of chunk 0.  Every Monte Carlo checks its
+trial count here.  The simulators check their Poisson means against numpy's
+limit here too; the oracle draws from its own tables and checks its means
+against `noise_model.MEAN_LIMIT`.
 """
 
 import contextlib

@@ -31,8 +31,17 @@ def test_bench_workload_runs_without_failures(workload, monkeypatch):
 # six_state_cli is left out: traced at tiny sizes it takes about 13 s
 @pytest.mark.parametrize("workload", ["oracle_grid", "coherence_scan"])
 def test_bench_workload_traced(workload, monkeypatch):
-    """The tracer's hooks still see every chunk: one generator per chunk run."""
+    """The tracer's hooks still see every generator: one per oracle chunk
+    run, and one per histogram, which runs no chunks."""
     metrics = _run_tiny(workload, 1, monkeypatch)
-    chunks = metrics["streams.map_chunks.chunks"]["value"]
-    assert chunks > 0
-    assert metrics["streams.chunk_rng.calls"]["value"] == chunks
+    value = {name: m["value"] for name, m in metrics.items()}
+    chunks = value["streams.map_chunks.chunks"]
+    if workload == "oracle_grid":
+        assert chunks > 0
+        assert value["streams.chunk_rng.calls"] == chunks
+    else:
+        assert chunks == 0
+        histograms = (value["memory_sim.simulate_histogram.calls"]
+                      + value["memory_sim.simulate_reference.calls"])
+        assert histograms > 0
+        assert value["streams.chunk_rng.calls"] == histograms

@@ -201,20 +201,25 @@ def test_histogram_flat_shape_fills_roi_uniformly(base=32):
 
 
 def test_analyzer_thins_signal_and_halves_background(base=33):
+    """An analyzer at 0 passes H fully, blocks V and halves the background.
+    At 1e12 pulses each of the three counts is held to its Poisson mean
+    within norm.isf(1e-6 / 6) sigma (about 5.10, a relative 2e-5), so the
+    test fails by chance with probability at most 1e-6, and a transmission
+    or background factor off by 1e-4 fails it."""
     cfg = MemoryConfig(eta_h=0.055, eta_v=0.055, bg_rate=0.02)
-    trials = 400_000
+    trials = 10**12
+    z = stats.norm.isf(1e-6 / 6)
     roi, bg = windows(cfg)
-    # analyzer at 0 passes H fully and blocks V
     h_pass = simulate_histogram(cfg, H, 0.0, trials, base)
     v_block = simulate_histogram(cfg, V, 0.0, trials, base + 1)
     mean_sig = cfg.signal_mean(H) * trials
     mean_bg = 0.5 * cfg.background_mean() * trials
     n_h = roi_counts(h_pass, roi)
-    assert abs(n_h - (mean_sig + mean_bg)) <= 3 * math.sqrt(mean_sig + mean_bg)
+    assert abs(n_h - (mean_sig + mean_bg)) <= z * math.sqrt(mean_sig + mean_bg)
     n_v = roi_counts(v_block, roi)
-    assert abs(n_v - mean_bg) <= 3 * math.sqrt(mean_bg)
+    assert abs(n_v - mean_bg) <= z * math.sqrt(mean_bg)
     n_bgw = roi_counts(h_pass, bg)
-    assert abs(n_bgw - mean_bg) <= 3 * math.sqrt(mean_bg)
+    assert abs(n_bgw - mean_bg) <= z * math.sqrt(mean_bg)
 
 
 def test_histogram_deterministic_across_workers_and_reruns():
@@ -226,6 +231,31 @@ def test_histogram_deterministic_across_workers_and_reruns():
     assert np.array_equal(a.counts, c.counts)
     other = simulate_histogram(cfg, D, None, 600_000, 8)
     assert not np.array_equal(a.counts, other.counts)
+
+
+@pytest.mark.parametrize("kind", ["histogram", "reference"])
+def test_histogram_is_one_draw_from_one_generator(kind, monkeypatch):
+    """A histogram makes one generator at any pulse count, so its cost does
+    not grow with trials.  A second generator raises at once, and the
+    two-chunk count runs before 1e15, so a per-chunk loop fails fast."""
+    make = streams.chunk_rng
+    for trials in (1, CHUNK_TRIALS + 1, 10**15):
+        made = []
+
+        def once(seed, index):
+            if made:
+                raise AssertionError(f"second generator at {trials} trials: {seed}, {index}")
+            made.append(index)
+            return make(seed, index)
+
+        monkeypatch.setattr(streams, "chunk_rng", once)
+        monkeypatch.setattr(memory_sim, "chunk_rng", once, raising=False)
+        if kind == "histogram":
+            hist = simulate_histogram(MemoryConfig(), D, None, trials, 3)
+        else:
+            hist = simulate_reference(MemoryConfig(), trials, 3)
+        assert made == [0]
+        assert hist.n_trials == trials
 
 
 def test_serial_chunks_make_their_generator_when_they_run(monkeypatch):
@@ -340,7 +370,7 @@ _SIMULATOR_CASES = {
     "reference": lambda w: _hist_digest(simulate_reference(MemoryConfig(), 600_000, 9)),
     "decay_series": lambda w: _sweeps_digest(
         simulate_decay_series(MemoryConfig(), [0.0, 5.0, 20.0], 300_000, 10)),
-    # the reference pulse is clipped to t_max; several chunks and a partial last one
+    # the reference pulse is clipped to t_max
     "decay_series_flat_clipped": lambda w: _sweeps_digest(
         simulate_decay_series(_CLIPPED, [0.0, 5.0, 20.0], 1_000_001, 17)),
     "background_sweep": lambda w: _sweeps_digest(
@@ -358,17 +388,24 @@ _SIMULATOR_DIGESTS = {
     "background_sweep": "91c8785333c6110a",
     "background_sweep_no_powers": "578f4ddfb8158283",
     "background_sweep_technical": "a4324623ca48109f",
-    "decay_series": "76ebc68ed3a7af06",
-    "decay_series_flat_clipped": "c757acd024297e10",
-    "histogram_analyzer": "5850982f15bd3cfe",
-    "histogram_analyzer_dark": "feeeb14341c8c809",
-    "histogram_flat": "9741c3a698bf5dbb",
-    "histogram_no_background": "5aaa2d1a89bacef7",
-    "histogram_no_signal": "4c98fa1ddfc6238a",
+    "decay_series": "a31703e8f6cdf97d",
+    "decay_series_flat_clipped": "fb3ad6c1e4fd8794",
+    "histogram_analyzer": "7ca686512b14176d",
+    "histogram_analyzer_dark": "80b749eab34fe922",
+    "histogram_flat": "6abd2263187cdd5d",
+    "histogram_no_background": "2603ff765a9bb630",
+    "histogram_no_signal": "3094b81dfffc31f2",
     "polarimetry_noiseless": "9759743a253fb864",
     "polarimetry_sweep": "ccaaa8bc42540b88",
-    "reference": "81d48e9d8871e40e",
+    "reference": "0f56c9a3ae41051b",
 }
+
+
+def test_one_chunk_histogram_keeps_its_bytes():
+    """A histogram of at most CHUNK_TRIALS pulses draws from chunk_rng(seed, 0),
+    as the per-chunk draw it replaced did, so it keeps those bytes."""
+    hist = simulate_histogram(MemoryConfig(tech_rate=0.002), D, 0.7, 200_000, 12)
+    assert _hist_digest(hist) == "cbc5f8f40a81d3f6"
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -441,7 +478,7 @@ def test_histogram_counts_match_expected_means(case):
     A few bins hold a sliver of a source (one ulp of a bin edge), so their
     expected count is about 1e-8; they keep that rate below about 1e-6."""
     cfg, kind, seed = _CHI2_CASES[case]
-    trials = 10_000_000  # 38 full chunks and a partial one
+    trials = 10_000_000
     laws = _source_laws(cfg)
     if kind == "reference":
         hist = simulate_reference(cfg, trials, seed)
