@@ -176,8 +176,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_model_curve(args) -> int:
-    if args.p_points < 1:
-        raise ConfigError(f"--p-points must be >= 1, got {args.p_points}")
     if not 0 < args.p_min <= args.p_max < math.inf:
         raise ConfigError("need 0 < p-min <= p-max < inf")
     grid = np.linspace(args.p_min, args.p_max, args.p_points)
@@ -260,11 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_mc = sub.add_parser("model-curve", help="detection-model fidelity/SBR curve")
-    p_mc.add_argument("--eta", type=float, default=0.055)
-    p_mc.add_argument("--q", type=float, default=0.005)
+    p_mc.add_argument("--eta", type=float, default=0.055,
+                      help="storage efficiency: the signal mean per pulse is eta * p")
+    p_mc.add_argument("--q", type=float, default=0.005,
+                      help="background per pulse in units of eta * p: a config's background_mean() / chain")
     p_mc.add_argument("--p-min", type=float, default=0.1)
     p_mc.add_argument("--p-max", type=float, default=20.0)
-    p_mc.add_argument("--p-points", type=int, default=50)
+    p_mc.add_argument("--p-points", type=_int_at_least(1), default=50)
     p_mc.add_argument("--format", choices=("csv", "json"), default="csv")
     p_mc.add_argument("--out", required=True)
     p_mc.set_defaults(func=cmd_model_curve)

@@ -14,7 +14,7 @@ import json
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,15 +209,15 @@ class FitResult:
     """
 
     params: dict[str, float]
-    stderr: dict[str, float] = field(default_factory=dict)
-    residual_norm: float = 0.0
-    n_points: int = 0
+    stderr: dict[str, float]
+    residual_norm: float
+    n_points: int
 
     def __post_init__(self):
         for k, v in self.stderr.items():
             if v < 0:
                 raise ValueError(f"stderr[{k!r}] must be >= 0, got {v}")
-        if self.n_points and self.n_points < len(self.params):
+        if self.n_points < len(self.params):
             raise ValueError("fewer points than parameters")
 
     def to_dict(self) -> dict:

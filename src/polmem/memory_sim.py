@@ -32,7 +32,6 @@ from .polarization import (
 from .streams import check_poisson_mean, check_trials, chunk_rng, point_rng
 
 RETRIEVAL_TIME_CONSTANT_US = 0.3
-RETRIEVAL_SHAPES = ("exponential", "flat")
 INPUT_PULSE_US = 1.0
 # largest t_max / bin_width: one histogram of it holds 8 MB of int64 counts
 MAX_BINS = 1_000_000
@@ -71,13 +70,12 @@ class MemoryConfig:
     bin_width: float = 0.05
     t_max: float = 8.0
     tau_coherence: float = 19.3
-    retrieval_shape: str = "exponential"
     dephasing: float = 0.0
 
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(f.default, float) and not is_finite_number(v):
+            if not is_finite_number(v):
                 raise ConfigError(f"{f.name} must be a finite number, got {v!r}")
         for name in ("eta_h", "eta_v"):
             v = getattr(self, name)
@@ -98,10 +96,6 @@ class MemoryConfig:
             )
         if self.tau_coherence <= 0:
             raise ConfigError("tau_coherence must be positive")
-        if self.retrieval_shape not in RETRIEVAL_SHAPES:
-            raise ConfigError(
-                f"retrieval_shape must be one of {RETRIEVAL_SHAPES}, got {self.retrieval_shape!r}"
-            )
         for a, b in ((self.roi_start, self.roi_end), (self.bg_window_start, self.bg_window_end)):
             if not 0 <= a < b <= self.t_max:
                 raise ConfigError(f"window [{a}, {b}] must be ordered and inside [0, {self.t_max}]")
@@ -251,12 +245,11 @@ def simulate_histogram(
     The histogram is one draw, the same for any `workers`; the keyword has
     no effect and is kept so that callers passing it keep working."""
     sig_mean, bg_roi_mean = _polarimeter_means(config, state, analyzer, signal_scale)
-    tc = RETRIEVAL_TIME_CONSTANT_US if config.retrieval_shape == "exponential" else None
     # background is uniform over the control-on span [roi_start, t_max]
     bg_total_mean = bg_roi_mean * (config.t_max - config.roi_start) / config.roi_duration
     sources = [
         ("signal mean (chain * eta * p_in)", sig_mean,
-         _bin_mass(config, config.roi_start, config.roi_end, tc)),
+         _bin_mass(config, config.roi_start, config.roi_end, RETRIEVAL_TIME_CONSTANT_US)),
         ("background mean (bg_rate + tech_rate)", bg_total_mean,
          _bin_mass(config, config.roi_start, config.t_max)),
     ]

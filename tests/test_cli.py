@@ -372,7 +372,9 @@ def test_model_curve_non_finite_mean_exit_2(tmp_path, flag, value):
 def test_model_curve_bad_range_exit_2(tmp_path):
     assert run("model-curve", "--p-min", 2.0, "--p-max", 1.0,
                "--out", tmp_path / "c.csv") == 2
-    assert run("model-curve", "--p-points", 0, "--out", tmp_path / "c.csv") == 2
+    with pytest.raises(SystemExit) as exc:
+        run("model-curve", "--p-points", 0, "--out", tmp_path / "c.csv")
+    assert exc.value.code == 2
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):

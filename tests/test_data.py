@@ -303,7 +303,8 @@ def test_malformed_config_exit_2(tmp_path, capsys, case):
 @pytest.mark.parametrize("body,message", [
     ('{"eta_h": 2}', "eta_h must lie in [0, 1], got 2"),
     ('{"bogus": 1}', "unknown config keys: ['bogus']"),
-], ids=["eta_h-above-1", "unknown-key"])
+    ('{"retrieval_shape": "exponential"}', "unknown config keys: ['retrieval_shape']"),
+], ids=["eta_h-above-1", "unknown-key", "removed-retrieval-shape"])
 def test_config_value_error_names_file(tmp_path, capsys, body, message):
     cfg = _write(tmp_path / "cfg.json", body)
     assert main(["simulate", "--config", str(cfg), "--state", "H", "--trials", "10",

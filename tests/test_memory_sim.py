@@ -96,7 +96,6 @@ def test_config_defaults_are_valid():
         dict(bg_window_end=6.5),  # unequal window durations
         dict(bg_window_start=3.0, bg_window_end=4.0),  # overlaps ROI
         dict(tau_coherence=0.0),
-        dict(retrieval_shape="gaussian"),
         dict(t_max=50_000.05),  # one bin above MAX_BINS
         dict(bin_width=1e10),  # t_max / bin_width rounds to no bin at all
     ],
@@ -107,7 +106,7 @@ def test_config_validation(kwargs):
 
 
 def test_config_json_round_trip(tmp_path):
-    cfg = MemoryConfig(eta_h=0.06, tech_rate=0.001, retrieval_shape="flat")
+    cfg = MemoryConfig(eta_h=0.06, tech_rate=0.001, dephasing=0.25)
     path = tmp_path / "cfg.json"
     cfg.save(path)
     assert MemoryConfig.load(path) == cfg
@@ -186,18 +185,6 @@ def test_histogram_means_match_closed_form(base=31):
     assert abs(n_bg - mean_bg_roi) <= 3 * math.sqrt(mean_bg_roi)
     # nothing before the retrieval window
     assert roi_counts(hist, Window(0.0, cfg.roi_start)) == 0
-
-
-def test_histogram_flat_shape_fills_roi_uniformly(base=32):
-    cfg = MemoryConfig(retrieval_shape="flat", bg_rate=0.0)
-    hist = simulate_histogram(cfg, H, None, 400_000, base)
-    roi, _ = windows(cfg)
-    i0 = round((roi.start - hist.t_start) / hist.bin_width)
-    i1 = round((roi.end - hist.t_start) / hist.bin_width)
-    bins = hist.counts[i0:i1]
-    expected = bins.sum() / len(bins)
-    # each bin within 4 sigma of the uniform expectation
-    assert np.all(np.abs(bins - expected) <= 4 * math.sqrt(expected))
 
 
 def test_analyzer_thins_signal_and_halves_background(base=33):
@@ -350,8 +337,8 @@ def _sweeps_digest(*sweeps):
 
 
 _ANGLES = np.linspace(0, math.pi, 12)
-_CLIPPED = MemoryConfig(retrieval_shape="flat", t_max=0.5, bin_width=0.05, roi_start=0.1,
-                        roi_end=0.2, bg_window_start=0.3, bg_window_end=0.4)
+_CLIPPED = MemoryConfig(t_max=0.5, bin_width=0.05, roi_start=0.1, roi_end=0.2,
+                        bg_window_start=0.3, bg_window_end=0.4)
 _POWERS = [0.0, 0.5, 1.0, 4.0]
 # each case maps workers to a digest of every array the simulator returns;
 # the sweeps take no worker count and must give the same bytes regardless
@@ -360,8 +347,6 @@ _SIMULATOR_CASES = {
         MemoryConfig(bg_rate=0.0, tech_rate=0.0), H, None, 600_000, 5, workers=w)),
     "histogram_no_signal": lambda w: _hist_digest(simulate_histogram(
         MemoryConfig(eta_h=0.0, eta_v=0.0, tech_rate=0.003), V, None, 600_000, 6, workers=w)),
-    "histogram_flat": lambda w: _hist_digest(simulate_histogram(
-        MemoryConfig(retrieval_shape="flat", tech_rate=0.002), D, None, 600_000, 7, workers=w)),
     "histogram_analyzer": lambda w: _hist_digest(simulate_histogram(
         MemoryConfig(dephasing=0.1), D, 0.7, 600_000, 8, workers=w, signal_scale=0.8)),
     # V at a vertical analyzer rounds to a transmission a hair below zero
@@ -371,7 +356,7 @@ _SIMULATOR_CASES = {
     "decay_series": lambda w: _sweeps_digest(
         simulate_decay_series(MemoryConfig(), [0.0, 5.0, 20.0], 300_000, 10)),
     # the reference pulse is clipped to t_max
-    "decay_series_flat_clipped": lambda w: _sweeps_digest(
+    "decay_series_clipped": lambda w: _sweeps_digest(
         simulate_decay_series(_CLIPPED, [0.0, 5.0, 20.0], 1_000_001, 17)),
     "background_sweep": lambda w: _sweeps_digest(
         *simulate_background_sweep(MemoryConfig(), _POWERS, 100_000, 11)),
@@ -389,10 +374,9 @@ _SIMULATOR_DIGESTS = {
     "background_sweep_no_powers": "578f4ddfb8158283",
     "background_sweep_technical": "a4324623ca48109f",
     "decay_series": "a31703e8f6cdf97d",
-    "decay_series_flat_clipped": "fb3ad6c1e4fd8794",
+    "decay_series_clipped": "a946f971c0b2ce64",
     "histogram_analyzer": "7ca686512b14176d",
     "histogram_analyzer_dark": "80b749eab34fe922",
-    "histogram_flat": "6abd2263187cdd5d",
     "histogram_no_background": "2603ff765a9bb630",
     "histogram_no_signal": "3094b81dfffc31f2",
     "polarimetry_noiseless": "9759743a253fb864",
@@ -428,25 +412,20 @@ def _source_laws(config):
     """The scipy.stats law of each source's arrival time."""
     span = config.roi_end - config.roi_start
     tc = memory_sim.RETRIEVAL_TIME_CONSTANT_US
-    if config.retrieval_shape == "flat":
-        retrieval = stats.uniform(config.roi_start, span)
-    else:
-        retrieval = stats.truncexpon(span / tc, loc=config.roi_start, scale=tc)
     return {
-        "retrieval": retrieval,
+        "retrieval": stats.truncexpon(span / tc, loc=config.roi_start, scale=tc),
         "background": stats.uniform(config.roi_start, config.t_max - config.roi_start),
         "reference": stats.uniform(0.0, min(INPUT_PULSE_US, config.t_max)),
     }
 
 
-_MASS_CONFIGS = {"default": MemoryConfig(), "flat": MemoryConfig(retrieval_shape="flat"),
-                 "clipped": _CLIPPED}
+_MASS_CONFIGS = {"default": MemoryConfig(), "clipped": _CLIPPED}
 
 
 @pytest.mark.parametrize("name", sorted(_MASS_CONFIGS))
 def test_bin_mass_matches_scipy(name):
     cfg = _MASS_CONFIGS[name]
-    tc = memory_sim.RETRIEVAL_TIME_CONSTANT_US if cfg.retrieval_shape == "exponential" else None
+    tc = memory_sim.RETRIEVAL_TIME_CONSTANT_US
     ours = {
         "retrieval": memory_sim._bin_mass(cfg, cfg.roi_start, cfg.roi_end, tc),
         "background": memory_sim._bin_mass(cfg, cfg.roi_start, cfg.t_max),
@@ -461,7 +440,6 @@ _NO_BG = dict(bg_rate=0.0, tech_rate=0.0)
 # (config, kind, seed): one large histogram per source shape, and their sum
 _CHI2_CASES = {
     "exponential": (MemoryConfig(**_NO_BG), "histogram", 101),
-    "flat": (MemoryConfig(retrieval_shape="flat", **_NO_BG), "histogram", 102),
     "background": (MemoryConfig(eta_h=0.0, eta_v=0.0), "histogram", 103),
     "signal_and_background": (MemoryConfig(tech_rate=0.002), "histogram", 104),
     "reference": (MemoryConfig(), "reference", 105),
